@@ -229,10 +229,9 @@ func BenchmarkEngineMixedReferences(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				l := m.Layout()
-				ws := workload.Mixed{Ops: 500, SharedBlocks: 8, PrivBlocks: 16,
-					SharedFrac: 0.3, WriteFrac: 0.35, Seed: 1}.Build(l, 4)
-				if err := m.Run(ws); err != nil {
+				progs := workload.Mixed{Ops: 500, SharedBlocks: 8, PrivBlocks: 16,
+					SharedFrac: 0.3, WriteFrac: 0.35, Seed: 1}.Programs(m.Layout(), 4)
+				if err := m.RunPrograms(progs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -241,13 +240,10 @@ func BenchmarkEngineMixedReferences(b *testing.B) {
 	}
 }
 
-// BenchmarkSimEngine measures the direct-execution engine core:
-// simulated operations per real second with Program workloads pulled
-// inline by the event loop — no goroutine, channel handshake, or
-// scheduler park/unpark per operation. The shim variant runs the
-// identical operation stream through the blocking func(*Proc)
-// compatibility path, so the delta is the cost of lock-stepping
-// goroutines. BENCH_sim.json (via cmd/cachesim -bench-json) gates
+// BenchmarkSimEngine measures the engine core: simulated operations
+// per real second with Program workloads pulled inline by the event
+// loop — no goroutine, channel handshake, or scheduler park/unpark per
+// operation. BENCH_sim.json (via cmd/cachesim -bench-json) gates
 // regressions on these numbers.
 func BenchmarkSimEngine(b *testing.B) {
 	const procs, ops = 8, 2000
@@ -287,18 +283,6 @@ func BenchmarkSimEngine(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "runs/s")
 		})
 	}
-	b.Run("mixed/bitar/shim", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m, err := cachesync.New(cachesync.Config{Protocol: "bitar", Procs: procs})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := m.Run(mixed.Build(m.Layout(), procs)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(procs*ops*b.N)/b.Elapsed().Seconds(), "ops/s")
-	})
 }
 
 // BenchmarkMcheck measures the bounded model checker's exploration

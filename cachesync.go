@@ -9,9 +9,15 @@
 // write-through baseline and the Dragon, Firefly, and Rudolph-Segall
 // write-update/hybrid schemes.
 //
-// A Machine runs workload programs written as ordinary Go functions
-// against a blocking processor API; the engine lock-steps them
-// deterministically, so identical seeds give identical statistics.
+// The engine runs one kind of workload, the Program: a resumable
+// state machine whose Next method the event loop calls inline for each
+// operation. The workload generators (Layout and the internal
+// workload package) produce Programs, and Machine.RunPrograms runs
+// them. Hand-written scenarios can instead be ordinary Go functions
+// against a blocking processor API: Machine.Run hands each one to the
+// engine through a small adapter that runs it on its own goroutine,
+// lock-stepped with the event loop. Either way runs are
+// deterministic, so identical seeds give identical statistics.
 //
 //	m, _ := cachesync.New(cachesync.Config{Protocol: "bitar", Procs: 4})
 //	err := m.Run([]cachesync.Workload{
@@ -33,19 +39,19 @@ import (
 	"cachesync/internal/workload"
 )
 
-// Proc is the processor handle workload programs run against. All of
-// its methods block until the simulated operation completes. See
-// Read, Write, LockRead (the paper's lock operation), UnlockWrite,
-// RMW, RMWMemory, TryWrite, WriteBlock, Compute, and IO.
+// Proc is the processor handle workloads run against. Inside a
+// blocking Workload its methods block until the simulated operation
+// completes; each is a one-liner over Do. See Read, Write, LockRead
+// (the paper's lock operation), UnlockWrite, RMW, RMWMemory,
+// TryWrite, WriteBlock, Compute, and IO.
 type Proc = sim.Proc
 
-// Workload is one processor's program.
+// Workload is one processor's blocking program, for Machine.Run.
 type Workload = func(*Proc)
 
-// Program is a resumable direct-execution workload: the engine calls
-// its Next method inline for each operation, with no goroutine or
-// channel per processor (see sim.Program). The workload generators'
-// Programs methods return this form.
+// Program is the workload form the engine runs: it calls Next inline
+// for each operation, with no goroutine or channel per processor (see
+// sim.Program). The workload generators' Programs methods return it.
 type Program = sim.Program
 
 // Addr is a bus-wide-word address.
@@ -177,13 +183,19 @@ func New(cfg Config) (*Machine, error) {
 	return &Machine{sys: sim.New(sc)}, nil
 }
 
-// Run executes one workload per processor (missing entries idle) and
-// returns when all have finished, or on deadlock/cycle overrun.
+// Run executes one blocking workload per processor (nil or missing
+// entries idle) and returns when all have finished, or with
+// RunPrograms' errors. Each workload reaches the engine through the
+// blocking adapter: its own goroutine, lock-stepped with the event
+// loop, giving the same run as the equivalent Programs. A panic in a
+// workload is raised again on the caller's goroutine.
 func (m *Machine) Run(ws []Workload) error { return m.sys.Run(ws) }
 
-// RunPrograms executes one Program per processor (nil entries idle) on
-// the direct goroutine-free path. It produces runs byte-identical to
-// Run given the same operation sequence, several times faster.
+// RunPrograms executes one Program per processor (nil or missing
+// entries idle) and returns when all have finished, or on deadlock,
+// cycle overrun, or a lock op on a protocol without the hardware lock.
+// It is the engine's own path: no goroutine per processor, several
+// times faster than Run.
 func (m *Machine) RunPrograms(ps []Program) error { return m.sys.RunPrograms(ps) }
 
 // Clock returns the simulated time in cycles after Run.

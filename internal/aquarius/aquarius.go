@@ -148,8 +148,8 @@ func New(cfg Config) *System {
 		s.ibuf[i] = newIbuf(cfg.IBufEntries)
 	}
 	// The lower tier is always attached so every fabric access runs
-	// inside the engine's single-threaded event loop (shim workload
-	// goroutines run concurrently between blocking calls — touching
+	// inside the engine's single-threaded event loop (blocking workload
+	// goroutines run between their blocking calls — touching
 	// crossbar/ibuf state from them would race). Routed additionally
 	// makes classification mandatory: unclassified references are
 	// rejected instead of staying on the synchronization bus.
@@ -157,13 +157,14 @@ func New(cfg Config) *System {
 	return s
 }
 
-// Run executes the workloads on the synchronization tier's
-// processors. With Routed, classified references route to the lower
-// tier automatically; otherwise lower-tier accesses are issued
-// through DataRead, DataWrite, and InstrFetch.
+// Run executes blocking workloads on the synchronization tier's
+// processors, through the engine's blocking adapter (sim.System.Run).
+// With Routed, classified references route to the lower tier
+// automatically; otherwise lower-tier accesses are issued through
+// DataRead, DataWrite, and InstrFetch.
 func (s *System) Run(ws []func(*sim.Proc)) error { return s.Sync.Run(ws) }
 
-// RunPrograms executes one direct-execution Program per processor.
+// RunPrograms executes one Program per processor.
 func (s *System) RunPrograms(progs []sim.Program) error { return s.Sync.RunPrograms(progs) }
 
 // LowerAccess implements sim.LowerTier: the engine hands over every
@@ -206,7 +207,7 @@ func bump(c *stats.Counters, h **int64, name string) {
 // DataRead reads non-synchronization data through the crossbar:
 // always the latest version, straight from the bank. It issues an
 // engine-routed Data-class read, so the fabric bookkeeping happens in
-// deterministic event order even from shim workload goroutines.
+// deterministic event order even from blocking workload goroutines.
 func (s *System) DataRead(p *sim.Proc, a addr.Addr) uint64 {
 	return p.ReadClass(a, interconnect.Data)
 }

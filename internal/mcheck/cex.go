@@ -143,42 +143,16 @@ func SimReplay(opts Options, cex *Counterexample) (out string, err error) {
 	rec := &recorder{}
 	s.Bus.Attach(rec)
 
-	perProc := make([][]int, o.Procs) // global step indexes per processor
+	rs := make([]cexReplay, o.Procs)
+	progs := make([]sim.Program, o.Procs)
+	for i := range rs {
+		rs[i] = cexReplay{trace: cex.Trace, geom: cfg.Geometry}
+		progs[i] = &rs[i]
+	}
 	for k, a := range cex.Trace {
-		perProc[a.Proc] = append(perProc[a.Proc], k)
+		rs[a.Proc].steps = append(rs[a.Proc].steps, k)
 	}
-	geom := cfg.Geometry
-	trace := cex.Trace
-	ws := make([]func(*sim.Proc), o.Procs)
-	for pid := 0; pid < o.Procs; pid++ {
-		steps := perProc[pid]
-		ws[pid] = func(p *sim.Proc) {
-			for _, k := range steps {
-				a := trace[k]
-				if w := int64(k)*stepGap - p.Now(); w > 0 {
-					p.Compute(w)
-				}
-				at := geom.Base(addr.Block(a.Block)) + addr.Addr(a.Word)
-				switch a.Op {
-				case protocol.OpRead, protocol.OpReadEx:
-					p.Read(at)
-				case protocol.OpWrite:
-					p.Write(at, a.Value)
-				case protocol.OpLock:
-					p.LockRead(at)
-				case protocol.OpUnlock:
-					p.UnlockWrite(at, a.Value)
-				case protocol.OpWriteBlock:
-					vals := make([]uint64, geom.BlockWords)
-					for i := range vals {
-						vals[i] = a.Value
-					}
-					p.WriteBlock(geom.Base(addr.Block(a.Block)), vals)
-				}
-			}
-		}
-	}
-	if rerr := s.Run(ws); rerr != nil {
+	if rerr := s.RunPrograms(progs); rerr != nil {
 		return "", fmt.Errorf("mcheck: sim replay: %w", rerr)
 	}
 
@@ -195,4 +169,46 @@ func SimReplay(opts Options, cex *Counterexample) (out string, err error) {
 		}
 	}
 	return b.String(), nil
+}
+
+// cexReplay is one processor's share of a counterexample as a Program:
+// a flat list of global step indexes, each paced by a Compute so that
+// step k issues no earlier than cycle k*stepGap.
+type cexReplay struct {
+	trace []Action
+	steps []int
+	geom  addr.Geometry
+	paced bool // the pacing Compute of steps[0] was issued
+}
+
+func (r *cexReplay) Next(p *sim.Proc, _ sim.Result) (sim.Op, bool) {
+	for len(r.steps) > 0 {
+		k := r.steps[0]
+		if !r.paced {
+			r.paced = true
+			if w := int64(k)*stepGap - p.Now(); w > 0 {
+				return sim.ComputeOp(w), true
+			}
+		}
+		r.steps, r.paced = r.steps[1:], false
+		a := r.trace[k]
+		at := r.geom.Base(addr.Block(a.Block)) + addr.Addr(a.Word)
+		switch a.Op {
+		case protocol.OpRead, protocol.OpReadEx:
+			return sim.ReadOp(at), true
+		case protocol.OpWrite:
+			return sim.WriteOp(at, a.Value), true
+		case protocol.OpLock:
+			return sim.LockReadOp(at), true
+		case protocol.OpUnlock:
+			return sim.UnlockWriteOp(at, a.Value), true
+		case protocol.OpWriteBlock:
+			vals := make([]uint64, r.geom.BlockWords)
+			for i := range vals {
+				vals[i] = a.Value
+			}
+			return sim.WriteBlockOp(r.geom.Base(addr.Block(a.Block)), vals), true
+		}
+	}
+	return sim.Op{}, false
 }

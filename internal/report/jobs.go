@@ -231,7 +231,7 @@ func sweepRow(proto string, procs int) string {
 	s, l := rig(proto, procs, 32, false, g4)
 	w := workload.Mixed{Ops: 100 * procs, SharedBlocks: 8, PrivBlocks: 8 * procs,
 		SharedFrac: 0.3, WriteFrac: 0.35, Seed: 37}
-	mustRun(s, w.Build(l, procs))
+	mustRunPrograms(s, w.Programs(l, procs))
 	agg := s.Stats()
 	idle := stats.Pct(agg.Get("proc.stall-cycles"), int64(procs)*s.Clock())
 	cells := []string{

@@ -38,7 +38,7 @@ func (s *System) serveBus(ctx *opCtx) {
 		if s.Caches[ctx.p.id].State(s.cfg.Geometry.BlockOf(ctx.op.addr)) == protocol.Invalid {
 			// Stolen while queued: abort (Feature 6, method 3).
 			ctx.p.Counts.Inc("rmw.abort")
-			s.respond(ctx.p, s.clock, procRes{ok: false})
+			s.respond(ctx.p, s.clock, Result{OK: false})
 			return
 		}
 	}
@@ -80,7 +80,7 @@ func (s *System) advanceRMW(ctx *opCtx) {
 			// Write privilege in hand: entirely local and atomic.
 			c.WriteWord(ctx.op.addr, ctx.op.f(ctx.rmwOld))
 			ctx.p.Counts.Inc("rmw.done")
-			s.respond(ctx.p, s.clock+int64(s.cfg.Timing.HitCycles), procRes{value: ctx.rmwOld, ok: true})
+			s.respond(ctx.p, s.clock+int64(s.cfg.Timing.HitCycles), Result{Value: ctx.rmwOld, OK: true})
 			return
 		}
 		ctx.pr = r
@@ -278,7 +278,7 @@ func (s *System) serveTxn(ctx *opCtx) {
 	if cres.BusyWait {
 		if ctx.op.kind == opTryWrite {
 			ctx.p.Counts.Inc("rmw.abort")
-			s.respond(ctx.p, s.clock, procRes{ok: false})
+			s.respond(ctx.p, s.clock, Result{OK: false})
 			return
 		}
 		s.park(ctx, b)
@@ -505,7 +505,7 @@ func (s *System) continueRMW(ctx *opCtx, cres protocol.CompleteResult) {
 			c.WriteWord(ctx.op.addr, ctx.op.f(ctx.rmwOld))
 		}
 		ctx.p.Counts.Inc("rmw.done")
-		s.respond(ctx.p, s.clock+int64(s.cfg.Timing.HitCycles), procRes{value: ctx.rmwOld, ok: true})
+		s.respond(ctx.p, s.clock+int64(s.cfg.Timing.HitCycles), Result{Value: ctx.rmwOld, OK: true})
 		return
 	}
 	// Next phase, bus still held: no other requester can slip between
@@ -514,7 +514,7 @@ func (s *System) continueRMW(ctx *opCtx, cres protocol.CompleteResult) {
 	if r.Hit {
 		c.WriteWord(ctx.op.addr, ctx.op.f(ctx.rmwOld))
 		ctx.p.Counts.Inc("rmw.done")
-		s.respond(ctx.p, s.clock+int64(s.cfg.Timing.HitCycles), procRes{value: ctx.rmwOld, ok: true})
+		s.respond(ctx.p, s.clock+int64(s.cfg.Timing.HitCycles), Result{Value: ctx.rmwOld, OK: true})
 		return
 	}
 	ctx.pr = r
@@ -534,8 +534,8 @@ func (s *System) finishOp(ctx *opCtx, t int64) {
 	if stall := t - ctx.p.opStart; stall > 0 {
 		ctx.p.Counts.Add("proc.stall-cycles", stall)
 	}
-	var res procRes
-	res.ok = true
+	var res Result
+	res.OK = true
 	switch ctx.op.kind {
 	case opBlockWrite:
 		if !s.feats.WriteNoFetch {
@@ -544,13 +544,13 @@ func (s *System) finishOp(ctx *opCtx, t int64) {
 			return
 		}
 	case opTryWrite:
-		res.ok = true
+		res.OK = true
 	}
 	switch ctx.protoOp {
 	case protocol.OpRead, protocol.OpReadEx:
-		res.value, _ = c.ReadWord(ctx.op.addr)
+		res.Value, _ = c.ReadWord(ctx.op.addr)
 	case protocol.OpLock:
-		res.value, _ = c.ReadWord(ctx.op.addr)
+		res.Value, _ = c.ReadWord(ctx.op.addr)
 		s.recordLockAcquired(ctx.p, t)
 		// Figure 9: the other waiters see the lock taken and withdraw.
 		s.withdrawLosers(s.cfg.Geometry.BlockOf(ctx.op.addr), ctx.p.id)
@@ -613,7 +613,7 @@ func (s *System) serveIO(ctx *opCtx) {
 	s.countBus(cost, int64(words))
 	s.Counts.Inc(ioCounterName(t.Cmd))
 	s.logTxn(bi, t, start, cost)
-	s.respond(ctx.p, s.clock, procRes{ok: !t.Lines.Locked})
+	s.respond(ctx.p, s.clock, Result{OK: !t.Lines.Locked})
 	s.notifyTxn()
 }
 
@@ -662,6 +662,6 @@ func (s *System) serveRMWMemory(ctx *opCtx) {
 	s.Counts.Add("bus.cycles", cost)
 	s.Counts.Inc("rmw.memory")
 	ctx.p.Counts.Inc("rmw.done")
-	s.respond(ctx.p, s.clock, procRes{value: old, ok: true})
+	s.respond(ctx.p, s.clock, Result{Value: old, OK: true})
 	s.notifyTxn()
 }

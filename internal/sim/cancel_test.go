@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,18 +35,41 @@ func longWorkloads(s *System, procs, ops int) []func(*Proc) {
 	return ws
 }
 
-// TestRunContextCancelsPromptlyWithoutLeaks aborts a long simulation
-// mid-run and asserts (a) the error identifies the deadline, (b) the
-// abort is prompt, and (c) every workload goroutine unwinds — the
-// leak check the daemon's 504 path depends on.
-func TestRunContextCancelsPromptlyWithoutLeaks(t *testing.T) {
-	before := runtime.NumGoroutine()
+// blockingPrograms wraps blocking workloads in the adapter System.Run
+// uses, so the cancellation tests can hand them a context.
+func blockingPrograms(ws []func(*Proc)) []Program {
+	progs := make([]Program, len(ws))
+	for i, w := range ws {
+		progs[i] = &blocking{w: w}
+	}
+	return progs
+}
 
+// requireGoroutines waits for the goroutine count to fall back to
+// before: every workload goroutine of the finished runs has unwound.
+func requireGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestBlockingCancelUnwindsWithoutLeaks aborts a long blocking
+// simulation mid-run and asserts (a) the error identifies the
+// deadline, (b) the abort is prompt, and (c) every workload goroutine
+// unwinds — the leak check the daemon's 504 path depends on.
+func TestBlockingCancelUnwindsWithoutLeaks(t *testing.T) {
+	before := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
 		s := New(DefaultConfig(protocol.MustNew("bitar")))
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 		start := time.Now()
-		err := s.RunContext(ctx, longWorkloads(s, 4, 2_000_000))
+		err := s.RunProgramsContext(ctx, blockingPrograms(longWorkloads(s, 4, 2_000_000)))
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("iteration %d: err = %v, want deadline exceeded", i, err)
@@ -57,34 +81,78 @@ func TestRunContextCancelsPromptlyWithoutLeaks(t *testing.T) {
 			t.Fatalf("iteration %d: cancellation took %v", i, elapsed)
 		}
 	}
-
-	// The four runs' workload goroutines (4 procs each) must all have
-	// unwound; give the scheduler a moment to retire them.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after cancellations",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	requireGoroutines(t, before)
 }
 
-// TestRunContextExplicitCancel covers cancellation without a deadline.
-func TestRunContextExplicitCancel(t *testing.T) {
+// TestBlockingExplicitCancel covers cancellation without a deadline.
+func TestBlockingExplicitCancel(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := New(DefaultConfig(protocol.MustNew("illinois")))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if err := s.RunContext(ctx, longWorkloads(s, 4, 2_000_000)); !errors.Is(err, context.Canceled) {
+	if err := s.RunProgramsContext(ctx, blockingPrograms(longWorkloads(s, 4, 2_000_000))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	requireGoroutines(t, before)
+}
+
+// TestBlockingDeadlockUnwinds: P0 takes the lock and finishes holding
+// it while P1 and P2 busy-wait on it forever. The run ends in deadlock
+// and both waiters' goroutines, parked mid-LockRead, must unwind.
+func TestBlockingDeadlockUnwinds(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := DefaultConfig(protocol.MustNew("bitar"))
+	cfg.Procs = 3
+	s := New(cfg)
+	wait := func(p *Proc) {
+		p.Compute(100)
+		p.LockRead(0)
+	}
+	err := s.Run([]func(*Proc){func(p *Proc) { p.LockRead(0) }, wait, wait})
+	if err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("err = %v, want deadlock", err)
+	}
+	requireGoroutines(t, before)
+}
+
+// TestBlockingMaxCyclesUnwinds: a cycle overrun ends the run with
+// every workload goroutine still mid-loop; all must unwind.
+func TestBlockingMaxCyclesUnwinds(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := DefaultConfig(protocol.MustNew("bitar"))
+	cfg.MaxCycles = 1000
+	s := New(cfg)
+	err := s.Run(longWorkloads(s, 4, 2_000_000))
+	if err == nil || !strings.Contains(err.Error(), "exceeded 1000 cycles") {
+		t.Fatalf("err = %v, want cycle overrun", err)
+	}
+	requireGoroutines(t, before)
+}
+
+// TestBlockingPanicReachesCaller: a panic inside a blocking workload
+// is raised again on the caller's goroutine, where a recover sees the
+// workload's own panic value, after the other workloads unwound.
+func TestBlockingPanicReachesCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(DefaultConfig(protocol.MustNew("bitar")))
+	ws := longWorkloads(s, 4, 2_000_000)
+	ws[2] = func(p *Proc) {
+		p.Write(0, 1)
+		p.Compute(50)
+		panic("workload bug")
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_ = s.Run(ws)
+		return nil
+	}()
+	if got != "workload bug" {
+		t.Fatalf("recovered %v, want the workload's panic value", got)
+	}
+	requireGoroutines(t, before)
 }
 
 // hammerProg is the Program form of longWorkloads' loop body: an
@@ -109,10 +177,9 @@ func (h *hammerProg) Next(p *Proc, last Result) (Op, bool) {
 	return ReadOp(a), true
 }
 
-// TestRunProgramsContextCancelsPromptly is the direct-path twin of
-// the shim cancellation test: ctx expiry must abort the event loop
-// within one event, and — the whole point of the direct engine —
-// without a single goroutine to unwind.
+// TestRunProgramsContextCancelsPromptly: ctx expiry must abort the
+// event loop within one event, and — Programs run inline — without a
+// single goroutine to unwind.
 func TestRunProgramsContextCancelsPromptly(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
@@ -136,7 +203,7 @@ func TestRunProgramsContextCancelsPromptly(t *testing.T) {
 		}
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("direct path grew goroutines: %d before, %d after", before, after)
+		t.Fatalf("Programs grew goroutines: %d before, %d after", before, after)
 	}
 }
 
@@ -158,11 +225,11 @@ func TestRunProgramsContextExplicitCancel(t *testing.T) {
 	}
 }
 
-// TestRunContextCompletesUncanceled pins that a background context
-// changes nothing about a normal run.
-func TestRunContextCompletesUncanceled(t *testing.T) {
+// TestBlockingCompletesUncanceled pins that a background context
+// changes nothing about a normal blocking run.
+func TestBlockingCompletesUncanceled(t *testing.T) {
 	s := New(DefaultConfig(protocol.MustNew("bitar")))
-	if err := s.RunContext(context.Background(), longWorkloads(s, 4, 200)); err != nil {
+	if err := s.RunProgramsContext(context.Background(), blockingPrograms(longWorkloads(s, 4, 200))); err != nil {
 		t.Fatal(err)
 	}
 	if s.Clock() == 0 {

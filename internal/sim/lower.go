@@ -109,6 +109,6 @@ func (s *System) serveLower(p *Proc, t int64, ref LowerRef) error {
 	if done < t {
 		done = t
 	}
-	s.respond(p, done, procRes{value: v, ok: true})
+	s.respond(p, done, Result{Value: v, OK: true})
 	return nil
 }

@@ -23,7 +23,7 @@ func (s *System) startLockPrefetch(p *Proc, t int64, op *procOp) {
 	if p.plock.armed {
 		// Already prefetching (or holding) a lock: a second prefetch
 		// is a no-op per the API contract.
-		s.respond(p, t+int64(s.cfg.Timing.HitCycles), procRes{ok: true})
+		s.respond(p, t+int64(s.cfg.Timing.HitCycles), Result{OK: true})
 		return
 	}
 	c := s.Caches[p.id]
@@ -37,7 +37,7 @@ func (s *System) startLockPrefetch(p *Proc, t int64, op *procOp) {
 		p.plock.addr = op.addr
 		p.plock.value = v
 		s.recordLockAcquired(p, t)
-		s.respond(p, t, procRes{ok: true})
+		s.respond(p, t, Result{OK: true})
 		return
 	}
 	ctx := &s.ctxs[s.prefetchArbID(p)]
@@ -52,7 +52,7 @@ func (s *System) startLockPrefetch(p *Proc, t int64, op *procOp) {
 	s.Buses[s.busOf(s.cfg.Geometry.BlockOf(op.addr))].RequestAt(ctx.arbID, false, t)
 	s.Counts.Inc("lock.prefetch")
 	// The processor continues immediately: this is the ready section.
-	s.respond(p, t, procRes{ok: true})
+	s.respond(p, t, Result{OK: true})
 }
 
 // startLockWait joins a prefetched lock: immediate if already
@@ -68,7 +68,7 @@ func (s *System) startLockWait(p *Proc, t int64, op *procOp) {
 		v := p.plock.value
 		p.resetPlock()
 		s.Counts.Inc("lock.prefetch-ready")
-		s.respond(p, t+int64(s.cfg.Timing.HitCycles), procRes{value: v, ok: true})
+		s.respond(p, t+int64(s.cfg.Timing.HitCycles), Result{Value: v, OK: true})
 		return
 	}
 	// Block until the prefetch context completes.
@@ -102,6 +102,6 @@ func (s *System) finishPrefetch(ctx *opCtx, t int64) {
 	if p.plock.waiting {
 		val := p.plock.value
 		p.resetPlock()
-		s.respond(p, t, procRes{value: val, ok: true})
+		s.respond(p, t, Result{Value: val, OK: true})
 	}
 }

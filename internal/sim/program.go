@@ -9,7 +9,7 @@ import (
 	"cachesync/internal/protocol"
 )
 
-// Program is the direct-execution workload interface: a resumable
+// Program is the workload interface the engine runs: a resumable
 // state machine the engine steps inline, with no goroutine or channel
 // per processor. Next receives the Result of the previously yielded
 // Op (a zero Result on the first call) and returns the next Op; a
@@ -22,13 +22,9 @@ import (
 // suspended while the engine consumes the buffer, so in-place reuse
 // across calls is safe and allocation-free.
 //
-// The blocking func(*Proc) API (System.Run/RunContext) remains as a
-// compatibility shim layered on the same engine: each blocking
-// workload runs on one goroutine and its Proc calls are ferried to
-// the engine over a channel pair. Programs and the shim produce
-// byte-identical event logs, final machine state, and statistics for
-// the same operation sequence — the engine core is shared; only the
-// op-delivery mechanism differs.
+// Blocking workloads (System.Run) reach the engine as Programs too,
+// through an adapter that runs each one on its own goroutine and
+// lock-steps it with the engine.
 type Program interface {
 	Next(p *Proc, last Result) (Op, bool)
 }
@@ -148,32 +144,39 @@ func IOOp(kind ioKind, a addr.Addr, vals []uint64) Op {
 	return Op{procOp{kind: opIO, io: kind, addr: a, vals: vals, class: interconnect.Sync}}
 }
 
-// RunPrograms executes one Program per processor on the direct
-// (goroutine-free) path; progs[i] runs on processor i, nil entries
-// idle. It returns once every program has finished, or an error on
-// deadlock or cycle overrun.
+// RunPrograms executes one Program per processor; progs[i] runs on
+// processor i, nil or missing entries idle. It returns once every
+// program has finished, or an error on deadlock, cycle overrun, a
+// routing failure, or an op the machine cannot serve (a lock op on a
+// protocol without the hardware lock).
 func (s *System) RunPrograms(progs []Program) error {
 	return s.RunProgramsContext(context.Background(), progs)
 }
 
 // RunProgramsContext is RunPrograms with cancellation: ctx expiry is
 // checked before every event, so the loop aborts within one event of
-// the deadline — no goroutines exist on this path, so nothing needs
-// unwinding.
+// the deadline and returns an error wrapping ctx.Err(). The System is
+// abandoned mid-flight and — like any System after a run — must not be
+// reused.
 func (s *System) RunProgramsContext(ctx context.Context, progs []Program) error {
 	if s.started {
 		return fmt.Errorf("sim: a System runs exactly once; build a fresh one")
 	}
 	s.started = true
+	// The one abort path: however the run ends — error, cancellation
+	// or panic — blocking workloads still parked mid-op unwind here.
+	defer s.abort()
 	for i, p := range s.Procs {
+		p.prog = idle{}
 		if i < len(progs) && progs[i] != nil {
 			p.prog = progs[i]
-			p.pending = p.firstOp()
-		} else {
-			p.pending = procOp{kind: opDone} // no program: idle
 		}
-		p.status = statusReady
-		s.ready.push(p.id, 0)
+		s.respond(p, 0, Result{}) // pulls the first op
 	}
 	return s.run(ctx)
 }
+
+// idle is the Program of a processor without a workload.
+type idle struct{}
+
+func (idle) Next(*Proc, Result) (Op, bool) { return Op{}, false }

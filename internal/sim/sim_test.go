@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"cachesync/internal/addr"
@@ -437,5 +438,73 @@ func TestWriteMissValueCommitsAcrossProtocols(t *testing.T) {
 				t.Errorf("consumer read %d, want 123", got)
 			}
 		})
+	}
+}
+
+// opList is a Program replaying a fixed op sequence.
+type opList []Op
+
+func (l *opList) Next(*Proc, Result) (Op, bool) {
+	if len(*l) == 0 {
+		return Op{}, false
+	}
+	op := (*l)[0]
+	*l = (*l)[1:]
+	return op, true
+}
+
+// TestLockOpsNeedHardwareLock pins the engine's one hardware-lock
+// check: on a protocol without the Section E.3 lock, every lock,
+// unlock, lock-prefetch and lock-wait op fails the run with the same
+// error whether it arrives as a Program op or a blocking call; the
+// hardware-lock protocols run the same ops cleanly.
+func TestLockOpsNeedHardwareLock(t *testing.T) {
+	for _, name := range all.Everything {
+		proto := protocol.MustNew(name)
+		newSys := func() *System {
+			cfg := DefaultConfig(proto)
+			cfg.Procs = 1
+			if proto.Features().OneWordBlocks {
+				cfg.Geometry = addr.MustGeometry(1, 1)
+			}
+			return New(cfg)
+		}
+		if proto.Features().HardwareLock {
+			ops := opList{LockReadOp(0), UnlockWriteOp(0, 1), LockPrefetchOp(8), LockWaitOp(8), UnlockWriteOp(8, 0)}
+			s := newSys()
+			if err := s.RunPrograms([]Program{&ops}); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			if got := s.Counts.Get("lock.acquired"); got != 2 {
+				t.Errorf("%s: lock.acquired = %d, want 2", name, got)
+			}
+			continue
+		}
+		cases := []struct {
+			kind  string
+			op    Op
+			block func(*Proc)
+		}{
+			{"lock", LockReadOp(0), func(p *Proc) { p.LockRead(0) }},
+			{"unlock", UnlockWriteOp(0, 1), func(p *Proc) { p.UnlockWrite(0, 1) }},
+			{"prefetch", LockPrefetchOp(0), func(p *Proc) { p.LockPrefetch(0) }},
+			{"wait", LockWaitOp(0), func(p *Proc) { p.LockWait(0) }},
+		}
+		for _, c := range cases {
+			ops := opList{ReadOp(0), c.op}
+			s := newSys()
+			perr := s.RunPrograms([]Program{&ops})
+			berr := newSys().Run([]func(*Proc){func(p *Proc) { p.Read(0); c.block(p) }})
+			if perr == nil || berr == nil || perr.Error() != berr.Error() {
+				t.Errorf("%s %s: Program error %v, blocking error %v; want the same error", name, c.kind, perr, berr)
+				continue
+			}
+			if !strings.Contains(perr.Error(), "no hardware lock") {
+				t.Errorf("%s %s: error %q does not name the missing hardware lock", name, c.kind, perr)
+			}
+			if got := s.Counts.Get("lock.acquired"); got != 0 {
+				t.Errorf("%s %s: lock.acquired = %d on a protocol without the lock", name, c.kind, got)
+			}
+		}
 	}
 }

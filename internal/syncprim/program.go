@@ -8,11 +8,10 @@ import (
 	"cachesync/internal/sim"
 )
 
-// This file is the direct-execution (sim.Program) form of the locking
-// primitives: resumable sub-state-machines yielding exactly the
-// operation and counter sequence the blocking Acquire/Release produce,
-// one op at a time, so Program workloads and blocking workloads stay
-// byte-identical.
+// This file holds the one lock-acquire algorithm: resumable
+// sub-state-machines that yield a scheme's acquire and release ops one
+// at a time. Program workloads embed them; the blocking Acquire and
+// Release drive them through Proc.Do.
 
 // LockAcquire is a resumable busy-wait lock acquisition. Start arms it
 // and returns the first op of the acquire sequence; feed each Result

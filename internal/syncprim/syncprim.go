@@ -78,48 +78,19 @@ func tas(v uint64) uint64 {
 }
 
 // Acquire obtains the busy-wait lock at a using the given scheme. It
-// blocks (in simulated time) until the lock is held.
+// blocks (in simulated time) until the lock is held, driving a
+// LockAcquire one op at a time.
 func Acquire(p *sim.Proc, s Scheme, a addr.Addr) {
-	switch s {
-	case CacheLock:
-		p.LockRead(a)
-	case TAS:
-		for p.RMW(a, tas) != 0 {
-			p.Counts.Inc("sync.tas-retry")
-			p.Compute(spinPause)
-		}
-	case TTAS:
-		for {
-			if p.RMW(a, tas) == 0 {
-				break
-			}
-			p.Counts.Inc("sync.tas-retry")
-			// Loop on the copy in the cache until the holder's
-			// release invalidates (or updates) it.
-			for p.ReadClass(a, interconnect.Sync) != 0 {
-				p.Compute(spinPause)
-			}
-		}
-	case TASMemory:
-		for p.RMWMemory(a, tas) != 0 {
-			p.Counts.Inc("sync.tas-retry")
-			p.Compute(spinPause)
-		}
-	default:
-		panic(fmt.Sprintf("syncprim: unknown scheme %v", s))
+	var l LockAcquire
+	for op, done := l.Start(s, a), false; !done; {
+		op, done = l.Step(p, p.Do(op))
 	}
-	p.Counts.Inc("sync.acquire")
 }
 
 // Release frees the busy-wait lock at a.
 func Release(p *sim.Proc, s Scheme, a addr.Addr) {
-	switch s {
-	case CacheLock:
-		p.UnlockWrite(a, 0)
-	default:
-		p.WriteClass(a, 0, interconnect.Sync)
-	}
-	p.Counts.Inc("sync.release")
+	p.Do(StartRelease(s, a))
+	FinishRelease(p)
 }
 
 // RMWMethod selects one of the four atomic read-modify-write

@@ -46,7 +46,7 @@ func FuzzWorkloadReplay(f *testing.F) {
 			WriteFrac:    float64(writeRaw) / 255,
 			Seed:         seed,
 		}
-		if err := s.Run(w.Build(l, procs)); err != nil {
+		if err := s.RunPrograms(w.Programs(l, procs)); err != nil {
 			t.Fatalf("%s procs=%d ops=%d shared=%.2f write=%.2f seed=%d: replay failed: %v",
 				name, procs, ops, w.SharedFrac, w.WriteFrac, seed, err)
 		}

@@ -9,14 +9,12 @@ import (
 	"cachesync/internal/syncprim"
 )
 
-// This file is the direct-execution form of every generator: Programs
-// mirrors Build, producing one resumable sim.Program per processor
-// that yields exactly the operation sequence the blocking closure
-// issues (same RNG streams, same draw points, same counters), so the
-// direct and shim engines stay byte-identical. Compute ops with a
-// non-positive cycle count are skipped, matching Proc.Compute.
+// This file holds every generator's Programs method: one resumable
+// sim.Program per processor, an explicit-PC state machine over the
+// generator's reference stream. Compute ops with a non-positive cycle
+// count are skipped, matching Proc.Compute.
 
-// Programs returns the direct-execution form of the workload.
+// Programs returns one Program per processor.
 func (w Mixed) Programs(l Layout, procs int) []sim.Program {
 	ps := make([]sim.Program, procs)
 	for i := range ps {
@@ -57,7 +55,7 @@ func (g *mixedProg) Next(p *sim.Proc, _ sim.Result) (sim.Op, bool) {
 	return sim.ReadOp(a).WithClass(cl), true
 }
 
-// Programs returns the direct-execution form of the workload.
+// Programs returns one Program per processor.
 func (w LockContention) Programs(l Layout, procs int) []sim.Program {
 	ps := make([]sim.Program, procs)
 	for i := range ps {
@@ -147,8 +145,8 @@ func (g *lockContProg) emitCS() sim.Op {
 	return syncprim.StartRelease(g.w.Scheme, g.lock)
 }
 
-// Programs returns the direct-execution form of the workload: proc 0
-// produces, proc 1 consumes, the rest idle.
+// Programs returns one Program per processor: proc 0 produces, proc 1
+// consumes, the rest idle.
 func (w ProducerConsumer) Programs(l Layout, procs int) []sim.Program {
 	lock := l.LockAddr(0)
 	atom := l.G.Base(l.SharedBlock(0))
@@ -285,11 +283,11 @@ func (g *consumerProg) emitRead() sim.Op {
 	return syncprim.StartRelease(g.w.Scheme, g.lock)
 }
 
-// Programs returns the direct-execution form of the workload.
+// Programs returns one Program per processor.
 func (w ServiceQueues) Programs(l Layout, procs int) []sim.Program {
 	qcap := w.QueueCap
 	if qcap <= 0 || qcap > l.G.BlockWords-2 {
-		qcap = imax(1, l.G.BlockWords-2)
+		qcap = max(1, l.G.BlockWords-2)
 	}
 	ps := make([]sim.Program, procs)
 	for i := range ps {
@@ -446,7 +444,7 @@ func (g *serviceQueuesProg) startFinal() (sim.Op, bool) {
 	return g.lk.Start(g.w.Scheme, g.myLock), true
 }
 
-// Programs returns the direct-execution form of the workload.
+// Programs returns one Program per processor.
 func (w PrivateRuns) Programs(l Layout, procs int) []sim.Program {
 	ps := make([]sim.Program, procs)
 	for i := range ps {
@@ -506,7 +504,7 @@ func (g *privateRunsProg) advance() {
 	}
 }
 
-// Programs returns the direct-execution form of the workload.
+// Programs returns one Program per processor.
 func (w StateSave) Programs(l Layout, procs int) []sim.Program {
 	ps := make([]sim.Program, procs)
 	for i := range ps {
@@ -552,7 +550,7 @@ func (g *stateSaveProg) Next(_ *sim.Proc, _ sim.Result) (sim.Op, bool) {
 	return sim.ComputeOp(20), true
 }
 
-// Programs returns the direct-execution form of the workload.
+// Programs returns one Program per processor.
 func (w LockedData) Programs(l Layout, procs int) []sim.Program {
 	ps := make([]sim.Program, procs)
 	for i := range ps {
@@ -637,7 +635,7 @@ func (g *lockedDataProg) ibase() addr.Addr {
 // startAcquire picks this iteration's lock and its guarded lower-tier
 // record, then starts the acquire sub-machine.
 func (g *lockedDataProg) startAcquire() sim.Op {
-	li := g.rng.Intn(imax(1, g.w.Locks))
+	li := g.rng.Intn(max(1, g.w.Locks))
 	g.lock = g.l.LockAddr(li)
 	g.rec = g.l.G.Base(g.l.SharedBlock(2048 + li*8))
 	g.pc = ldAcq

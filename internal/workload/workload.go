@@ -3,15 +3,12 @@
 // variable bindings, service-request queues among lightweight Prolog
 // processes), busy-wait lock contention, Archibald-Baer-style mixed
 // random sharing, private-data runs, and process-switch state saves.
-// All generators are deterministic for a given seed.
+// Each generator's Programs method returns one sim.Program per
+// processor, and all generators are deterministic for a given seed.
 package workload
 
 import (
-	"math/rand"
-
 	"cachesync/internal/addr"
-	"cachesync/internal/interconnect"
-	"cachesync/internal/sim"
 	"cachesync/internal/syncprim"
 )
 
@@ -52,43 +49,6 @@ type ProducerConsumer struct {
 	Scheme        syncprim.Scheme
 }
 
-// Build returns one producer (proc 0) and one consumer (proc 1)
-// workload; remaining processors idle.
-func (w ProducerConsumer) Build(l Layout, procs int) []func(*sim.Proc) {
-	lock := l.LockAddr(0)
-	atom := l.G.Base(l.SharedBlock(0))
-	flag := l.LockAddr(1) // handoff flag, its own block
-	ws := make([]func(*sim.Proc), procs)
-	ws[0] = func(p *sim.Proc) {
-		for i := 1; i <= w.Items; i++ {
-			syncprim.Acquire(p, w.Scheme, lock)
-			for k := 0; k < w.WritesPerItem; k++ {
-				p.WriteClass(atom+addr.Addr(k%l.G.BlockWords), uint64(i), interconnect.Sync)
-			}
-			syncprim.Release(p, w.Scheme, lock)
-			p.WriteClass(flag, uint64(i), interconnect.Sync) // publish
-			// Wait for the acknowledgement.
-			for p.ReadClass(flag, interconnect.Sync) != 0 {
-				p.Compute(4)
-			}
-		}
-	}
-	ws[1] = func(p *sim.Proc) {
-		for i := 1; i <= w.Items; i++ {
-			for p.ReadClass(flag, interconnect.Sync) != uint64(i) {
-				p.Compute(4)
-			}
-			syncprim.Acquire(p, w.Scheme, lock)
-			for k := 0; k < w.WritesPerItem; k++ {
-				p.ReadClass(atom+addr.Addr(k%l.G.BlockWords), interconnect.Sync)
-			}
-			syncprim.Release(p, w.Scheme, lock)
-			p.WriteClass(flag, 0, interconnect.Sync) // acknowledge
-		}
-	}
-	return ws
-}
-
 // LockContention stresses one or more busy-wait locks: every
 // processor loops acquire / critical-section / release. It is the
 // workload behind the zero-time-locking and no-bus-retry claims
@@ -103,45 +63,6 @@ type LockContention struct {
 	Seed        int64
 }
 
-// Build returns a workload per processor.
-func (w LockContention) Build(l Layout, procs int) []func(*sim.Proc) {
-	ws := make([]func(*sim.Proc), procs)
-	for i := range ws {
-		i := i
-		rng := rand.New(rand.NewSource(w.Seed + int64(i)))
-		ws[i] = func(p *sim.Proc) {
-			for k := 0; k < w.Iters; k++ {
-				li := rng.Intn(w.Locks)
-				lock := l.LockAddr(li)
-				syncprim.Acquire(p, w.Scheme, lock)
-				for c := 0; c < w.CSWrites; c++ {
-					// Write the atom guarded by the lock: the rest of
-					// the lock's block when it has room, otherwise a
-					// dedicated data block per lock (one-word blocks).
-					var a addr.Addr
-					if l.G.BlockWords > 1 {
-						a = lock + addr.Addr(1+c%(l.G.BlockWords-1))
-					} else {
-						a = l.G.Base(l.SharedBlock(512 + li))
-					}
-					p.WriteClass(a, uint64(k), interconnect.Sync)
-				}
-				p.Compute(w.HoldCycles)
-				syncprim.Release(p, w.Scheme, lock)
-				p.Compute(w.ThinkCycles)
-			}
-		}
-	}
-	return ws
-}
-
-func imax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ServiceQueues is Section B.1's service-request management: each
 // processor owns a request queue (a lock plus a descriptor block);
 // processors post requests to other processors' queues and drain
@@ -152,65 +73,6 @@ type ServiceQueues struct {
 	QueueCap int // slots per queue (within one descriptor block)
 	Scheme   syncprim.Scheme
 	Seed     int64
-}
-
-// Build returns a workload per processor.
-func (w ServiceQueues) Build(l Layout, procs int) []func(*sim.Proc) {
-	ws := make([]func(*sim.Proc), procs)
-	cap := w.QueueCap
-	if cap <= 0 || cap > l.G.BlockWords-2 {
-		cap = imax(1, l.G.BlockWords-2)
-	}
-	for i := range ws {
-		i := i
-		rng := rand.New(rand.NewSource(w.Seed*31 + int64(i)))
-		ws[i] = func(p *sim.Proc) {
-			posted := 0
-			for posted < w.Requests {
-				// Post a request to a random other queue.
-				target := rng.Intn(procs)
-				if procs > 1 {
-					for target == i {
-						target = rng.Intn(procs)
-					}
-				}
-				lock := l.LockAddr(2 + target)
-				desc := l.G.Base(l.SharedBlock(1 + target))
-				syncprim.Acquire(p, w.Scheme, lock)
-				n := p.ReadClass(desc, interconnect.Sync) // queue length
-				if int(n) < cap {
-					p.WriteClass(desc+addr.Addr(1+int(n)%cap), uint64(i*1000+posted), interconnect.Sync)
-					p.WriteClass(desc, n+1, interconnect.Sync)
-				}
-				// A full queue drops the request (bounded queue), so
-				// no processor can wedge on a finished peer.
-				posted++
-				syncprim.Release(p, w.Scheme, lock)
-
-				// Drain my own queue.
-				myLock := l.LockAddr(2 + i)
-				myDesc := l.G.Base(l.SharedBlock(1 + i))
-				syncprim.Acquire(p, w.Scheme, myLock)
-				if n := p.ReadClass(myDesc, interconnect.Sync); n > 0 {
-					p.ReadClass(myDesc+addr.Addr(1+int(n-1)%cap), interconnect.Sync)
-					p.WriteClass(myDesc, n-1, interconnect.Sync)
-				}
-				syncprim.Release(p, w.Scheme, myLock)
-				p.Compute(10)
-			}
-			// Final drain so no queue overflows block others.
-			myLock := l.LockAddr(2 + i)
-			myDesc := l.G.Base(l.SharedBlock(1 + i))
-			for d := 0; d < w.Requests; d++ {
-				syncprim.Acquire(p, w.Scheme, myLock)
-				if n := p.ReadClass(myDesc, interconnect.Sync); n > 0 {
-					p.WriteClass(myDesc, n-1, interconnect.Sync)
-				}
-				syncprim.Release(p, w.Scheme, myLock)
-			}
-		}
-	}
-	return ws
 }
 
 // Mixed is the Archibald-Baer-style random reference stream: a
@@ -225,34 +87,6 @@ type Mixed struct {
 	Seed         int64
 }
 
-// Build returns a workload per processor.
-func (w Mixed) Build(l Layout, procs int) []func(*sim.Proc) {
-	ws := make([]func(*sim.Proc), procs)
-	for i := range ws {
-		i := i
-		rng := rand.New(rand.NewSource(w.Seed ^ int64(i*104729)))
-		ws[i] = func(p *sim.Proc) {
-			for k := 0; k < w.Ops; k++ {
-				var b addr.Block
-				cl := interconnect.Data
-				if rng.Float64() < w.SharedFrac {
-					b = l.SharedBlock(rng.Intn(w.SharedBlocks))
-					cl = interconnect.Sync
-				} else {
-					b = l.PrivateBlock(i, rng.Intn(w.PrivBlocks))
-				}
-				a := l.G.Base(b) + addr.Addr(rng.Intn(l.G.BlockWords))
-				if rng.Float64() < w.WriteFrac {
-					p.WriteClass(a, uint64(k), cl)
-				} else {
-					p.ReadClass(a, cl)
-				}
-			}
-		}
-	}
-	return ws
-}
-
 // PrivateRuns exercises Feature 5's scenario: sequential runs over
 // private data that are read and then (with probability WriteBack)
 // written — where fetching unshared data with write privilege on the
@@ -265,59 +99,12 @@ type PrivateRuns struct {
 	Seed      int64
 }
 
-// Build returns a workload per processor.
-func (w PrivateRuns) Build(l Layout, procs int) []func(*sim.Proc) {
-	ws := make([]func(*sim.Proc), procs)
-	for i := range ws {
-		i := i
-		rng := rand.New(rand.NewSource(w.Seed + int64(i)*13))
-		ws[i] = func(p *sim.Proc) {
-			for s := 0; s < w.Sweeps; s++ {
-				for b := 0; b < w.Blocks; b++ {
-					a := l.G.Base(l.PrivateBlock(i, b))
-					write := rng.Float64() < w.WriteBack
-					if w.Static && write {
-						p.ReadExClass(a, interconnect.Data)
-					} else {
-						p.ReadClass(a, interconnect.Data)
-					}
-					if write {
-						p.WriteClass(a, uint64(s), interconnect.Data)
-					}
-				}
-			}
-		}
-	}
-	return ws
-}
-
 // StateSave is Feature 9's scenario: frequent process switches saving
 // whole blocks of processor state (Aquarius expects "frequent process
 // switching, hence the switching must be very efficient").
 type StateSave struct {
 	Switches    int
 	StateBlocks int // blocks of state written per switch
-}
-
-// Build returns a workload per processor.
-func (w StateSave) Build(l Layout, procs int) []func(*sim.Proc) {
-	ws := make([]func(*sim.Proc), procs)
-	for i := range ws {
-		i := i
-		ws[i] = func(p *sim.Proc) {
-			vals := make([]uint64, l.G.BlockWords)
-			for s := 0; s < w.Switches; s++ {
-				for b := 0; b < w.StateBlocks; b++ {
-					for k := range vals {
-						vals[k] = uint64(s*100 + b)
-					}
-					p.WriteBlockClass(l.G.Base(l.PrivateBlock(i, b)), vals, interconnect.Data)
-				}
-				p.Compute(20) // run the switched-in process a little
-			}
-		}
-	}
-	return ws
 }
 
 // LockedData is the two-tier split made explicit (Figure 11): an
@@ -335,32 +122,4 @@ type LockedData struct {
 	Think   int64 // gap between iterations
 	Scheme  syncprim.Scheme
 	Seed    int64
-}
-
-// Build returns a workload per processor.
-func (w LockedData) Build(l Layout, procs int) []func(*sim.Proc) {
-	ws := make([]func(*sim.Proc), procs)
-	for i := range ws {
-		i := i
-		rng := rand.New(rand.NewSource(w.Seed*17 + int64(i)))
-		ws[i] = func(p *sim.Proc) {
-			ibase := l.G.Base(l.InstrBlock(i, 0))
-			for k := 0; k < w.Iters; k++ {
-				for j := 0; j < w.Instrs; j++ {
-					p.InstrFetch(ibase + addr.Addr(j))
-				}
-				li := rng.Intn(imax(1, w.Locks))
-				lock := l.LockAddr(li)
-				rec := l.G.Base(l.SharedBlock(2048 + li*8))
-				syncprim.Acquire(p, w.Scheme, lock)
-				for c := 0; c < w.Records; c++ {
-					v := p.ReadClass(rec+addr.Addr(c), interconnect.Data)
-					p.WriteClass(rec+addr.Addr(c), v+1, interconnect.Data)
-				}
-				syncprim.Release(p, w.Scheme, lock)
-				p.Compute(w.Think)
-			}
-		}
-	}
-	return ws
 }

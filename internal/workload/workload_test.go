@@ -41,7 +41,7 @@ func TestProducerConsumerAllSchemes(t *testing.T) {
 		t.Run(scheme.String(), func(t *testing.T) {
 			s, l := mk(t, "bitar", 2, 64)
 			w := ProducerConsumer{Items: 6, WritesPerItem: 3, Scheme: scheme}
-			if err := s.Run(w.Build(l, 2)); err != nil {
+			if err := s.RunPrograms(w.Programs(l, 2)); err != nil {
 				t.Fatal(err)
 			}
 			if s.Counts.Get("bus.cycles") == 0 {
@@ -57,7 +57,7 @@ func TestLockContentionCompletes(t *testing.T) {
 			s, l := mk(t, name, 4, 64)
 			scheme := syncprim.SchemeFor(s.Protocol())
 			w := LockContention{Locks: 2, Iters: 8, HoldCycles: 10, ThinkCycles: 5, CSWrites: 2, Scheme: scheme, Seed: 3}
-			if err := s.Run(w.Build(l, 4)); err != nil {
+			if err := s.RunPrograms(w.Programs(l, 4)); err != nil {
 				t.Fatal(err)
 			}
 			var acquires int64
@@ -75,7 +75,7 @@ func TestLockContentionOneWordBlocks(t *testing.T) {
 	s, l := mk(t, "rudolph", 3, 64)
 	w := LockContention{Locks: 1, Iters: 5, HoldCycles: 5, CSWrites: 2,
 		Scheme: syncprim.SchemeFor(s.Protocol()), Seed: 1}
-	if err := s.Run(w.Build(l, 3)); err != nil {
+	if err := s.RunPrograms(w.Programs(l, 3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -85,7 +85,7 @@ func TestServiceQueuesCompletes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, l := mk(t, name, 4, 64)
 			w := ServiceQueues{Requests: 6, Scheme: syncprim.SchemeFor(s.Protocol()), Seed: 5}
-			if err := s.Run(w.Build(l, 4)); err != nil {
+			if err := s.RunPrograms(w.Programs(l, 4)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -96,7 +96,7 @@ func TestMixedDeterministicAndRuns(t *testing.T) {
 	run := func() int64 {
 		s, l := mk(t, "illinois", 4, 16)
 		w := Mixed{Ops: 120, SharedBlocks: 8, PrivBlocks: 16, SharedFrac: 0.3, WriteFrac: 0.35, Seed: 9}
-		if err := s.Run(w.Build(l, 4)); err != nil {
+		if err := s.RunPrograms(w.Programs(l, 4)); err != nil {
 			t.Fatal(err)
 		}
 		return s.Counts.Get("bus.cycles")
@@ -116,7 +116,7 @@ func TestPrivateRunsStaticVsDynamic(t *testing.T) {
 	traffic := func(static bool) int64 {
 		s, l := mk(t, "yen", 2, 64)
 		w := PrivateRuns{Blocks: 16, Sweeps: 1, WriteBack: 1.0, Static: static, Seed: 2}
-		if err := s.Run(w.Build(l, 2)); err != nil {
+		if err := s.RunPrograms(w.Programs(l, 2)); err != nil {
 			t.Fatal(err)
 		}
 		return s.Bus.Counts.Get("bus.upgrade")
@@ -132,7 +132,7 @@ func TestPrivateRunsStaticVsDynamic(t *testing.T) {
 func TestStateSaveUsesWriteNoFetch(t *testing.T) {
 	s, l := mk(t, "bitar", 2, 64)
 	w := StateSave{Switches: 4, StateBlocks: 3}
-	if err := s.Run(w.Build(l, 2)); err != nil {
+	if err := s.RunPrograms(w.Programs(l, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Bus.Counts.Get("bus.writenofetch"); got == 0 {
@@ -149,16 +149,16 @@ func TestAllWorkloadsAllProtocolsSmoke(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, l := mk(t, name, 3, 32)
 			scheme := syncprim.SchemeFor(s.Protocol())
-			ws := LockContention{Locks: 1, Iters: 3, HoldCycles: 5, CSWrites: 1, Scheme: scheme, Seed: 7}.Build(l, 3)
-			if err := s.Run(ws); err != nil {
+			progs := LockContention{Locks: 1, Iters: 3, HoldCycles: 5, CSWrites: 1, Scheme: scheme, Seed: 7}.Programs(l, 3)
+			if err := s.RunPrograms(progs); err != nil {
 				t.Fatalf("lockcontention: %v", err)
 			}
 			s2, l2 := mk(t, name, 3, 32)
-			if err := s2.Run(Mixed{Ops: 60, SharedBlocks: 4, PrivBlocks: 8, SharedFrac: 0.4, WriteFrac: 0.3, Seed: 11}.Build(l2, 3)); err != nil {
+			if err := s2.RunPrograms(Mixed{Ops: 60, SharedBlocks: 4, PrivBlocks: 8, SharedFrac: 0.4, WriteFrac: 0.3, Seed: 11}.Programs(l2, 3)); err != nil {
 				t.Fatalf("mixed: %v", err)
 			}
 			s3, l3 := mk(t, name, 3, 32)
-			if err := s3.Run(StateSave{Switches: 2, StateBlocks: 2}.Build(l3, 3)); err != nil {
+			if err := s3.RunPrograms(StateSave{Switches: 2, StateBlocks: 2}.Programs(l3, 3)); err != nil {
 				t.Fatalf("statesave: %v", err)
 			}
 		})
