@@ -9,13 +9,16 @@ import (
 	"path/filepath"
 )
 
-// Checkpoint/resume. At every completed BFS level, runCore serializes
-// the exploration's resumable state into Options.CheckpointDir:
+// Checkpoint/resume. A session with a checkpoint directory
+// (Options.CheckpointDir for Run, SetCheckpointDir for a hosted fleet
+// session) checkpoints itself after Open and after every Absorb — the
+// only phases that mutate it — in one format:
 //
-//   - snap-<depth>.mcs — binary snapshot of the live visited tables
-//     (the part of the store not yet sealed to disk), the frontier
-//     boundary per shard, and the counters. Bounded by MemBudget when
-//     spilling; the full visited set otherwise.
+//   - snap-<seq>.mcs — binary snapshot of the live visited tables (the
+//     part of the store not yet sealed to disk) with their parent
+//     edges, the frontier boundary per table shard, and the counters.
+//     Bounded by MemBudget when spilling; the full visited set
+//     otherwise.
 //   - run-*.mcr — the sealed runs themselves (spill.go writes them
 //     here when checkpointing is on, so they survive the process).
 //   - MANIFEST.json — names the snapshot and the run files per shard.
@@ -26,17 +29,21 @@ import (
 //     rename. A kill at any instant leaves either the old or the new
 //     checkpoint intact.
 //
-// Resume (Options.Resume) loads the manifest if present — verifying
-// an options fingerprint, every run's checksum, and the snapshot's —
+// Opening with resume loads the manifest if present — verifying an
+// options fingerprint (which pins the POR block and the session
+// coordinates too), every run's checksum, and the snapshot's —
 // rebuilds the fingerprint sets from the runs' hash sections, and
-// continues from the next level. Because seals and merges are
+// reports the restored level so the coordinator continues at the next
+// one. Insertion order survives the reload, so state IDs do too: other
+// sessions hold them as parent pointers. Because seals and merges are
 // deterministic functions of the explored state space, a resumed run
 // produces a byte-identical Result (timing aside) to an uninterrupted
 // one, at any worker count; violations are never checkpointed (a level
 // that finds one completes the run), so a killed run re-finds its
-// counterexample deterministically. On completion the checkpoint is
-// deleted; only a run killed mid-flight leaves one behind, which is
-// what makes always-pass-Resume kill/retry loops safe.
+// counterexample deterministically. Run deletes its checkpoint on
+// completion, so only a run killed mid-flight leaves one behind, which
+// is what makes always-pass-Resume kill/retry loops safe; without
+// Resume it refuses a directory that holds one.
 //
 // POR runs checkpoint hierarchically: each per-block sub-run keeps its
 // own checkpoint under block-<b>/, and POR_MANIFEST.json accumulates
@@ -48,7 +55,7 @@ const (
 	snapMagic        = 0x3153434d // "MCS1" little-endian
 	ckptManifestName = "MANIFEST.json"
 	porManifestName  = "POR_MANIFEST.json"
-	ckptVersion      = 1
+	ckptVersion      = 2
 )
 
 type ckptManifest struct {
@@ -59,122 +66,156 @@ type ckptManifest struct {
 }
 
 // optionsHash fingerprints everything that shapes the explored state
-// space, so a checkpoint is never resumed under different options.
-// Workers is deliberately absent: resuming with a different worker
-// count is legal and byte-identical.
-func optionsHash(o Options, porBlock int) string {
-	s := fmt.Sprintf("v%d|%s|p%d b%d w%d d%d|sym=%t tables=%t|por=%d|max=%d|budget=%d",
+// space — the POR block and the session coordinates included — so a
+// checkpoint is never resumed under different options or by another
+// session. Workers is deliberately absent: resuming with a different
+// worker count is legal and byte-identical.
+func optionsHash(o Options, porBlock, self, total int) string {
+	s := fmt.Sprintf("v%d|%s|p%d b%d w%d d%d|sym=%t tables=%t|por=%d|max=%d|budget=%d|sess=%d/%d",
 		ckptVersion, o.Protocol.Name(), o.Procs, o.Blocks, o.Words, o.Depth,
-		o.Symmetry, !o.NoTables, porBlock, o.MaxStates, o.MemBudget)
+		o.Symmetry, !o.NoTables, porBlock, o.MaxStates, o.MemBudget, self, total)
 	return fmt.Sprintf("%016x", fnv1a(0, []byte(s)))
 }
 
-// resumePoint is a loaded checkpoint: counters plus the reconstructed
-// frontier.
-type resumePoint struct {
-	depth       int
-	states      int64
-	transitions int64
-	frontier    []stateID
-}
-
-// checkpointer owns one runCore's checkpoint directory.
+// checkpointer owns one session's checkpoint directory.
 type checkpointer struct {
 	dir  string
 	hash string
 	snap string // current snapshot file name; "" before the first save
-	sub  bool   // dir is a per-block subdirectory we created
+	// keepDir marks a directory the caller named (Run's CheckpointDir):
+	// discarding the checkpoint empties it but leaves it in place.
+	keepDir bool
 }
 
-func newCheckpointer(o Options, porBlock int) (*checkpointer, error) {
-	c := &checkpointer{dir: o.CheckpointDir, hash: optionsHash(o, porBlock)}
-	if porBlock >= 0 {
-		c.dir = filepath.Join(o.CheckpointDir, fmt.Sprintf("block-%d", porBlock))
-		c.sub = true
+// SetCheckpointDir enables checkpointing into dir; resume makes the
+// next Open restore an existing checkpoint instead of seeding. Must be
+// called before Open.
+func (s *ShardSession) SetCheckpointDir(dir string, resume bool) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("mcheck: checkpoint dir: %w", err)
 	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("mcheck: checkpoint dir: %w", err)
-	}
-	return c, nil
+	s.ck = &checkpointer{dir: dir, hash: optionsHash(s.o, s.porBlock, s.self, s.total)}
+	s.resume = resume
+	return nil
 }
 
-// load reads the checkpoint in c.dir into st, or returns nil if there
-// is none. A present checkpoint without Options.Resume is an error —
-// starting fresh would clobber it.
-func (c *checkpointer) load(st *spillStore, o Options) (*resumePoint, error) {
+// DiscardCheckpoint closes the session's store and removes its
+// checkpoint and directory; called when the exploration completes.
+func (s *ShardSession) DiscardCheckpoint() {
+	if s.ck == nil {
+		return
+	}
+	if s.st != nil {
+		s.st.close()
+	}
+	s.ck.clear()
+	if !s.ck.keepDir {
+		os.Remove(s.ck.dir)
+	}
+}
+
+// exists reports whether the directory holds a checkpoint.
+func (c *checkpointer) exists() bool {
+	_, err := os.Stat(filepath.Join(c.dir, ckptManifestName))
+	return err == nil
+}
+
+// clear deletes every checkpoint file in the directory.
+func (c *checkpointer) clear() {
+	os.Remove(filepath.Join(c.dir, ckptManifestName))
+	for _, pat := range []string{"snap-*.mcs", "snap-*.mcs.tmp", "run-*.mcr", "run-*.mcr.tmp", ckptManifestName + ".tmp"} {
+		matches, _ := filepath.Glob(filepath.Join(c.dir, pat))
+		for _, p := range matches {
+			os.Remove(p)
+		}
+	}
+	c.snap = ""
+}
+
+// load restores the checkpoint in c.dir into s's freshly opened store,
+// or reports false when there is none.
+func (c *checkpointer) load(s *ShardSession) (bool, error) {
 	data, err := os.ReadFile(filepath.Join(c.dir, ckptManifestName))
 	if os.IsNotExist(err) {
-		return nil, nil
+		return false, nil
 	}
 	if err != nil {
-		return nil, err
-	}
-	if !o.Resume {
-		return nil, fmt.Errorf("mcheck: %s already holds a checkpoint; pass Resume to continue it or use a fresh directory", c.dir)
+		return false, err
 	}
 	var m ckptManifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("mcheck: checkpoint manifest: %w", err)
+		return false, fmt.Errorf("mcheck: checkpoint manifest: %w", err)
 	}
 	if m.Version != ckptVersion {
-		return nil, fmt.Errorf("mcheck: checkpoint version %d, want %d", m.Version, ckptVersion)
+		return false, fmt.Errorf("mcheck: checkpoint version %d, want %d", m.Version, ckptVersion)
 	}
 	if m.OptionsHash != c.hash {
-		return nil, fmt.Errorf("mcheck: checkpoint was written under different options (hash %s, want %s)", m.OptionsHash, c.hash)
+		return false, fmt.Errorf("mcheck: checkpoint in %s was written under different options or by another session (hash %s, want %s)",
+			c.dir, m.OptionsHash, c.hash)
 	}
 	if len(m.Runs) != shardCount {
-		return nil, fmt.Errorf("mcheck: checkpoint manifest has %d shards, want %d", len(m.Runs), shardCount)
+		return false, fmt.Errorf("mcheck: checkpoint manifest has %d shards, want %d", len(m.Runs), shardCount)
 	}
-	rp, _, err := readSnapshot(filepath.Join(c.dir, m.Snap), st)
+	if filepath.Base(m.Snap) != m.Snap {
+		return false, fmt.Errorf("mcheck: checkpoint manifest names snapshot %q outside its directory", m.Snap)
+	}
+	st := s.st
+	sp, err := readSnapshot(filepath.Join(c.dir, m.Snap), st, s.total)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	// Adopt the sealed runs: verify checksums (they crossed a process
 	// boundary), check they tile [0, sealed) exactly, and rebuild the
 	// in-memory fingerprint sets from their hash sections.
-	for s := range m.Runs {
-		sh := &st.shards[s]
+	for sh := range m.Runs {
+		ss := &st.shards[sh]
 		next := uint64(0)
-		for _, name := range m.Runs[s] {
+		for _, name := range m.Runs[sh] {
+			if filepath.Base(name) != name {
+				return false, fmt.Errorf("mcheck: checkpoint manifest names run %q outside its directory", name)
+			}
 			r, err := openRun(filepath.Join(c.dir, name), st.kw, true)
 			if err != nil {
-				return nil, err
+				return false, err
 			}
-			sh.runs = append(sh.runs, r)
+			ss.runs = append(ss.runs, r)
 			if r.base != next {
-				return nil, fmt.Errorf("mcheck: checkpoint shard %d: run %s starts at %d, want %d", s, name, r.base, next)
+				return false, fmt.Errorf("mcheck: checkpoint shard %d: run %s starts at %d, want %d", sh, name, r.base, next)
 			}
 			next = r.base + uint64(r.count)
 			hashes, err := r.readHashes()
 			if err != nil {
-				return nil, err
+				return false, err
 			}
 			for _, h := range hashes {
-				sh.fp.add(h)
+				ss.fp.add(h)
 			}
 		}
-		if next != uint64(sh.sealed) {
-			return nil, fmt.Errorf("mcheck: checkpoint shard %d: runs cover %d sealed states, snapshot says %d", s, next, sh.sealed)
+		if next != uint64(ss.sealed) {
+			return false, fmt.Errorf("mcheck: checkpoint shard %d: runs cover %d sealed states, snapshot says %d", sh, next, ss.sealed)
 		}
 	}
 	c.snap = m.Snap
-	return rp, nil
+	s.seq, s.transitions, s.front = sp.seq, sp.transitions, sp.frontier
+	return true, nil
 }
 
-// save checkpoints a completed level: snapshot first, manifest rename
-// second, garbage (previous snapshot, compacted-away runs) last.
-func (c *checkpointer) save(st *spillStore, depth int, states, transitions int64, frontStart []int) error {
-	snapName := fmt.Sprintf("snap-%06d.mcs", depth)
-	if err := writeSnapshot(filepath.Join(c.dir, snapName), st, depth, states, transitions, frontStart); err != nil {
+// save checkpoints the session at its current level: snapshot first,
+// manifest rename second, garbage (previous snapshot, compacted-away
+// runs) last. s.frontStart holds each table shard's frontier start.
+func (c *checkpointer) save(s *ShardSession) error {
+	st := s.st
+	snapName := fmt.Sprintf("snap-%06d.mcs", s.seq)
+	if err := writeSnapshot(filepath.Join(c.dir, snapName), st, s.seq, s.transitions, s.frontStart); err != nil {
 		return err
 	}
 	m := ckptManifest{Version: ckptVersion, OptionsHash: c.hash, Snap: snapName, Runs: make([][]string, shardCount)}
-	for s := range st.shards {
+	for sh := range st.shards {
 		files := []string{}
-		for _, r := range st.shards[s].runs {
+		for _, r := range st.shards[sh].runs {
 			files = append(files, filepath.Base(r.path))
 		}
-		m.Runs[s] = files
+		m.Runs[sh] = files
 	}
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
@@ -194,22 +235,6 @@ func (c *checkpointer) save(st *spillStore, depth int, states, transitions int64
 	c.snap = snapName
 	st.dropObsolete()
 	return nil
-}
-
-// finish removes the checkpoint after the exploration completes: a
-// finished run must not be resumable into a stale re-exploration.
-func (c *checkpointer) finish(st *spillStore) {
-	st.close()
-	os.Remove(filepath.Join(c.dir, ckptManifestName))
-	for _, pat := range []string{"snap-*.mcs", "snap-*.mcs.tmp", "run-*.mcr", "run-*.mcr.tmp", ckptManifestName + ".tmp"} {
-		matches, _ := filepath.Glob(filepath.Join(c.dir, pat))
-		for _, p := range matches {
-			os.Remove(p)
-		}
-	}
-	if c.sub {
-		os.Remove(c.dir)
-	}
 }
 
 func writeFileSync(path string, data []byte) error {
@@ -240,11 +265,11 @@ func syncDir(dir string) {
 // writeSnapshot serializes the store's live half plus counters:
 //
 //	u32 magic, u32 kw
-//	u64 depth, states, transitions, seals, nextSeq
+//	u64 seq, states, transitions, seals, nextSeq
 //	64 × shard: u64 sealed, u64 frontStart, u64 liveN,
 //	            liveN × (kw×8 key, u64 hash, 32-byte edge)
 //	u64 fnv-1a checksum of everything above
-func writeSnapshot(path string, st *spillStore, depth int, states, transitions int64, frontStart []int) (retErr error) {
+func writeSnapshot(path string, st *spillStore, seq, transitions int64, frontStart []int) (retErr error) {
 	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -264,7 +289,7 @@ func writeSnapshot(path string, st *spillStore, depth int, states, transitions i
 	buf := make([]byte, 0, 1<<12)
 	buf = binary.LittleEndian.AppendUint32(buf, snapMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.kw))
-	for _, v := range []uint64{uint64(depth), uint64(states), uint64(transitions), uint64(st.seals), uint64(st.nextSeq)} {
+	for _, v := range []uint64{uint64(seq), uint64(st.states()), uint64(transitions), uint64(st.seals), uint64(st.nextSeq)} {
 		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
 	wr(buf)
@@ -304,88 +329,103 @@ func writeSnapshot(path string, st *spillStore, depth int, states, transitions i
 	return os.Rename(path+".tmp", path)
 }
 
+// snapPoint is a decoded snapshot's session state.
+type snapPoint struct {
+	seq, transitions int64
+	frontier         []stateID
+}
+
 // readSnapshot decodes a snapshot into st (live tables, sealed counts,
-// seal/seq counters) and returns the resume point plus the per-shard
-// frontier starts. Every field is bounds-checked against the file size
-// before it drives an allocation, and the checksum is verified first —
-// FuzzRunFileDecode feeds this arbitrary bytes.
-func readSnapshot(path string, st *spillStore) (*resumePoint, []int, error) {
+// seal/seq counters) and returns the session's level, transitions and
+// frontier. total bounds the parent sessions the edges may name. The
+// checksum is verified first, and every field is bounds-checked
+// against the file size before it drives an allocation; each key's
+// hash is recomputed rather than trusted — FuzzRunFileDecode feeds
+// this arbitrary bytes.
+func readSnapshot(path string, st *spillStore, total int) (*snapPoint, error) {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("mcheck: snapshot %s: %s", path, fmt.Sprintf(format, args...))
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	const hdrSz = 8 + 5*8
 	if len(data) < hdrSz+shardCount*24+8 {
-		return nil, nil, fail("short file (%d bytes)", len(data))
+		return nil, fail("short file (%d bytes)", len(data))
 	}
 	if got := fnv1a(0, data[:len(data)-8]); got != binary.LittleEndian.Uint64(data[len(data)-8:]) {
-		return nil, nil, fail("checksum mismatch")
+		return nil, fail("checksum mismatch")
 	}
 	if binary.LittleEndian.Uint32(data) != snapMagic {
-		return nil, nil, fail("bad magic")
+		return nil, fail("bad magic")
 	}
 	if got := int(binary.LittleEndian.Uint32(data[4:])); got != st.kw {
-		return nil, nil, fail("key width %d, want %d", got, st.kw)
+		return nil, fail("key width %d, want %d", got, st.kw)
 	}
-	depth := binary.LittleEndian.Uint64(data[8:])
+	seq := binary.LittleEndian.Uint64(data[8:])
 	states := binary.LittleEndian.Uint64(data[16:])
 	transitions := binary.LittleEndian.Uint64(data[24:])
 	seals := binary.LittleEndian.Uint64(data[32:])
 	nextSeq := binary.LittleEndian.Uint64(data[40:])
-	if depth > 1<<20 || states > 1<<40 || transitions > 1<<50 || seals > 1<<32 || nextSeq > 1<<32 {
-		return nil, nil, fail("implausible counters")
+	if seq > 1<<20 || states > 1<<40 || transitions > 1<<50 || seals > 1<<32 || nextSeq > 1<<32 {
+		return nil, fail("implausible counters")
 	}
 	body := data[:len(data)-8]
 	off := hdrSz
 	entSz := st.kw*8 + 8 + runEdgeSz
-	frontStart := make([]int, shardCount)
 	var frontier []stateID
+	var count uint64
+	key := make([]uint64, st.kw)
 	for s := 0; s < shardCount; s++ {
 		if off+24 > len(body) {
-			return nil, nil, fail("truncated at shard %d header", s)
+			return nil, fail("truncated at shard %d header", s)
 		}
 		sealed := binary.LittleEndian.Uint64(body[off:])
 		fs := binary.LittleEndian.Uint64(body[off+8:])
 		liveN := binary.LittleEndian.Uint64(body[off+16:])
 		off += 24
 		if liveN > uint64((len(body)-off)/entSz) {
-			return nil, nil, fail("shard %d claims %d live entries beyond file size", s, liveN)
+			return nil, fail("shard %d claims %d live entries beyond file size", s, liveN)
 		}
-		total := sealed + liveN
-		if total >= 1<<32 || fs < sealed || fs > total {
-			return nil, nil, fail("shard %d counts out of range (sealed %d, frontier %d, live %d)", s, sealed, fs, liveN)
+		n := sealed + liveN
+		if n >= 1<<32 || fs < sealed || fs > n {
+			return nil, fail("shard %d counts out of range (sealed %d, frontier %d, live %d)", s, sealed, fs, liveN)
 		}
+		count += n
 		sh := &st.shards[s]
 		sh.sealed = int(sealed)
-		frontStart[s] = int(fs)
-		key := make([]uint64, st.kw)
 		for i := uint64(0); i < liveN; i++ {
-			for j := 0; j < st.kw; j++ {
+			for j := range key {
 				key[j] = binary.LittleEndian.Uint64(body[off+j*8:])
 			}
-			h := binary.LittleEndian.Uint64(body[off+st.kw*8:])
+			h := hashKey(key)
+			if h != binary.LittleEndian.Uint64(body[off+st.kw*8:]) || shardOfHash(h) != s {
+				return nil, fail("shard %d entry %d: hash does not match its key", s, i)
+			}
 			e := getEdge(body[off+st.kw*8+8:])
+			if e.psess < 0 || int(e.psess) >= total {
+				return nil, fail("shard %d entry %d: parent session %d", s, i, e.psess)
+			}
+			if sh.live.lookup(key, h) >= 0 {
+				return nil, fail("shard %d entry %d: duplicate key", s, i)
+			}
 			sh.live.insert(key, h, e)
 			off += entSz
 		}
-		for g := fs; g < total; g++ {
+		for g := fs; g < n; g++ {
 			frontier = append(frontier, packID(s, int(g)))
 		}
 	}
 	if off != len(body) {
-		return nil, nil, fail("%d trailing bytes", len(body)-off)
+		return nil, fail("%d trailing bytes", len(body)-off)
+	}
+	if count != states {
+		return nil, fail("holds %d states, header says %d", count, states)
 	}
 	st.seals = int(seals)
 	st.nextSeq = int(nextSeq)
-	return &resumePoint{
-		depth:       int(depth),
-		states:      int64(states),
-		transitions: int64(transitions),
-		frontier:    frontier,
-	}, frontStart, nil
+	return &snapPoint{seq: int64(seq), transitions: int64(transitions), frontier: frontier}, nil
 }
 
 // POR accumulator: the numeric results of completed clean per-block
@@ -416,13 +456,13 @@ type porAccum struct {
 }
 
 // loadPORAccum opens (creating if needed) the POR checkpoint directory
-// and loads the accumulated block results, mirroring checkpointer.load's
-// resume-if-present semantics.
+// and loads the accumulated block results, with the same
+// resume-if-present semantics as a block's own checkpoint.
 func loadPORAccum(o Options) (*porAccum, error) {
 	if err := os.MkdirAll(o.CheckpointDir, 0o755); err != nil {
 		return nil, fmt.Errorf("mcheck: checkpoint dir: %w", err)
 	}
-	a := &porAccum{dir: o.CheckpointDir, hash: optionsHash(o, -2)}
+	a := &porAccum{dir: o.CheckpointDir, hash: optionsHash(o, -2, 0, 1)}
 	data, err := os.ReadFile(filepath.Join(a.dir, porManifestName))
 	if os.IsNotExist(err) {
 		return a, nil

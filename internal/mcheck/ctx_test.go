@@ -3,6 +3,7 @@ package mcheck
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,5 +96,61 @@ func TestProgressReportsEveryLevel(t *testing.T) {
 	last := ticks[len(ticks)-1]
 	if last.states != res.States || last.trans != res.Transitions {
 		t.Fatalf("final tick %+v != result totals states=%d transitions=%d", last, res.States, res.Transitions)
+	}
+}
+
+// TestShardedHonorsCancel holds RunSharded to Run's cancellation
+// contract: the coordinator polls the context every level and each
+// in-process session every frontier state, and the run fails with the
+// same wrapped error Run returns.
+func TestShardedHonorsCancel(t *testing.T) {
+	sessions := func(o Options, n int) []ShardPeer {
+		peers := make([]ShardPeer, n)
+		for i := range peers {
+			s, err := NewShardSession(o, i, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers[i] = s
+		}
+		return peers
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := Options{Protocol: protocol.MustNew("bitar"), Procs: 3, Blocks: 1, Depth: 6, Workers: 1, Context: ctx}
+	_, want := Run(o)
+	if !errors.Is(want, context.Canceled) {
+		t.Fatalf("Run: err = %v, want context.Canceled", want)
+	}
+	res, err := RunSharded(o, sessions(o, 2))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunSharded: err = %v (result %+v), want context.Canceled", err, res)
+	}
+	if err.Error() != want.Error() {
+		t.Fatalf("RunSharded error %q, Run's %q", err, want)
+	}
+
+	// A session whose context is gone stops expanding and says why.
+	s := sessions(o, 1)[0]
+	if _, err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Expand(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Expand under a canceled context: err = %v, want context.Canceled", err)
+	}
+
+	// Canceled mid-run, from the level-2 progress callback, over
+	// sessions with two workers each: the next level aborts.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	mo := o
+	mo.Context, mo.Workers = ctx, 2
+	mo.Progress = func(p ProgressInfo) {
+		if p.Depth == 2 {
+			cancel()
+		}
+	}
+	if _, err := RunSharded(mo, sessions(mo, 3)); !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "at depth 3") {
+		t.Fatalf("RunSharded canceled after level 2: err = %v, want context.Canceled at depth 3", err)
 	}
 }

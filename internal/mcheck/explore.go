@@ -1,37 +1,9 @@
 package mcheck
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
+	"path/filepath"
 )
-
-// candidate is a newly discovered state: the frontier/action indexes
-// (pi, ai) make parent selection deterministic — when several
-// transitions reach the same state in one level, the lexicographically
-// least (pi, ai) wins regardless of worker scheduling. The state's key
-// lives in the discovering worker's keySet arena at entry keyIdx.
-type candidate struct {
-	pi, ai int32
-	keyIdx int32
-	hash   uint64
-	parent stateID
-	act    Action
-}
-
-func (c candidate) before(o candidate) bool {
-	return c.pi < o.pi || (c.pi == o.pi && c.ai < o.ai)
-}
-
-// violation is a violating transition found during a level.
-type violation struct {
-	candidate
-	violations []string
-}
 
 // step applies one action and validates the resulting state, turning
 // executor panics and livelocks into reported violations (a broken —
@@ -53,13 +25,12 @@ func (m *machine) step(a Action) (violations []string) {
 // Run explores every interleaving of processor operations up to
 // opts.Depth steps with a level-synchronized parallel BFS over packed
 // binary state keys — canonicalized under processor symmetry when
-// opts.Symmetry is set. Because levels are explored in order and the
-// violating transition is chosen by least (frontier, action) index,
+// opts.Symmetry is set. It is RunSharded over one in-process session
+// (shard.go), so the same guarantees hold: levels are explored in
+// order and the violating transition is chosen by least ordinal, so
 // the returned counterexample — if any — is a shortest violating
 // sequence, and the whole result is deterministic for any worker
-// count: the next frontier is ordered shard-major with keys sorted
-// within each shard, which depends only on the set of discovered
-// states.
+// count.
 func Run(opts Options) (*Result, error) {
 	o := opts.withDefaults()
 	if err := validate(o); err != nil {
@@ -68,7 +39,7 @@ func Run(opts Options) (*Result, error) {
 	if o.POR {
 		return runPOR(o)
 	}
-	res, _, err := runCore(o, -1)
+	res, _, err := runLocal(o, -1)
 	return res, err
 }
 
@@ -94,466 +65,56 @@ func validate(o Options) error {
 	return nil
 }
 
-// cexOrd orders a violating transition the way the unreduced BFS
-// breaks ties between simultaneous violations: first by depth (BFS
-// finds shortest first), then by the parent's frontier position —
-// which is (visited-table shard, parent key) since frontiers are
-// shard-major and key-sorted — then by the action's index in the
-// parent's full action list. Per-block POR sub-runs keep full-list
-// action indices even though they expand a filtered subset, so these
-// ordinals are comparable across sub-runs and the cross-run least is
-// exactly the violation the unreduced run would report.
-type cexOrd struct {
-	depth     int
-	tshard    int
-	parentKey []uint64
-	ai        int32
-}
-
-func (c cexOrd) before(o cexOrd) bool {
-	if c.depth != o.depth {
-		return c.depth < o.depth
-	}
-	if c.tshard != o.tshard {
-		return c.tshard < o.tshard
-	}
-	if !equalKey(c.parentKey, o.parentKey) {
-		return lessKey(c.parentKey, o.parentKey)
-	}
-	return c.ai < o.ai
-}
-
-// runCore is one unreduced BFS. porBlock < 0 explores every action;
-// porBlock >= 0 restricts expansion to actions on that block (the
-// POR sub-run), keeping action indices relative to the full list. The
-// returned cexOrd is non-nil iff a counterexample was found.
-func runCore(o Options, porBlock int) (*Result, *cexOrd, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	start := time.Now()
-	res := &Result{
-		Protocol: o.Protocol.Name(),
-		Procs:    o.Procs, Blocks: o.Blocks, Words: o.Words,
-		Depth: o.Depth, Workers: o.Workers, Symmetry: o.Symmetry,
-	}
-
-	machines := make([]*machine, o.Workers)
-	for i := range machines {
-		machines[i] = newMachine(o)
-	}
-	kw := machines[0].lay.total
-
-	// Visited-store plumbing. With a checkpoint directory, sealed runs
-	// live there so a resumed process can adopt them; with only a
-	// budget, they live in a throwaway temp dir. On completion — any
-	// verdict — the checkpoint is deleted (done flag), so a later
-	// Resume into the same directory starts fresh; on error it stays
-	// for a retry.
-	var ck *checkpointer
-	spillDir := ""
+// runLocal is one kernel pass over a single in-process session,
+// expanding only block porBlock's actions when porBlock ≥ 0 (a POR
+// sub-run). On top of the level loop it adds what only an in-process
+// run has — the store's footprint in Progress, the spill statistics,
+// the observed arcs — and owns the checkpoint's lifecycle: a
+// directory that already holds one is refused without Resume, and the
+// checkpoint is deleted once the run completes, whatever the verdict;
+// on error it stays for a retry.
+func runLocal(o Options, porBlock int) (*Result, *ShardViolation, error) {
+	s := newSession(o, 0, 1, porBlock)
+	defer s.Close()
 	if o.CheckpointDir != "" {
-		var err error
-		ck, err = newCheckpointer(o, porBlock)
-		if err != nil {
+		dir := o.CheckpointDir
+		if porBlock >= 0 {
+			dir = filepath.Join(dir, fmt.Sprintf("block-%d", porBlock))
+		}
+		if err := s.SetCheckpointDir(dir, o.Resume); err != nil {
 			return nil, nil, err
 		}
-		spillDir = ck.dir
-	} else if o.MemBudget > 0 {
-		dir, err := os.MkdirTemp("", "mcheck-spill-")
-		if err != nil {
-			return nil, nil, fmt.Errorf("mcheck: spill dir: %w", err)
-		}
-		spillDir = dir
-		defer os.RemoveAll(dir)
-	}
-	st := newSpillStore(kw, spillDir, o.MemBudget)
-	defer st.close()
-	done := false
-	if ck != nil {
-		defer func() {
-			if done {
-				ck.finish(st)
-			}
-		}()
-	}
-
-	finalize := func() *Result {
-		done = true
-		res.Elapsed = time.Since(start)
-		if s := res.Elapsed.Seconds(); s > 0 {
-			res.StatesPerSec = float64(res.States) / s
-		}
-		if o.MemBudget > 0 {
-			res.MemBudget = o.MemBudget
-			res.SpilledStates = st.spilledStates()
-			res.SpilledBytes = st.spilledBytes()
-			res.SpillRuns = st.runCount()
-			res.SpillSeals = st.seals
-		}
-		return res
-	}
-
-	root := machines[0].encodeKey()
-	if o.Symmetry {
-		// The initial state is fully symmetric, so canonicalization is
-		// the identity; run it anyway so any future asymmetric initial
-		// state is still handled correctly.
-		root, _ = machines[0].canon.canonicalize(root)
-	}
-	if v := machines[0].checkInvariants(Action{}, stepResult{}); len(v) > 0 {
-		res.Counterexample = &Counterexample{Violations: v}
-		res.States = 1
-		return finalize(), &cexOrd{}, nil
-	}
-
-	rootHash := hashKey(root)
-	rootID := packID(shardOfHash(rootHash), 0) // the root is always its shard's first insert
-	startDepth := 1
-	var frontier []stateID
-	var transitions int64
-	resumed := false
-	if ck != nil {
-		rp, err := ck.load(st, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		if rp != nil {
-			resumed = true
-			res.States = rp.states
-			transitions = rp.transitions
-			res.DepthReached = rp.depth
-			frontier = rp.frontier
-			startDepth = rp.depth + 1
+		s.ck.keepDir = porBlock < 0
+		if !o.Resume && s.ck.exists() {
+			return nil, nil, fmt.Errorf("mcheck: %s already holds a checkpoint; pass Resume to continue it or use a fresh directory", dir)
 		}
 	}
-	if !resumed {
-		st.insert(rootID.shard(), root, rootHash, edge{parent: noParent})
-		res.States = 1
-		frontier = []stateID{rootID}
-		if o.stateHook != nil {
-			o.stateHook(root)
+	if prog := o.Progress; prog != nil {
+		o.Progress = func(p ProgressInfo) {
+			p.RAMBytes = s.st.ramBytes()
+			p.SpilledBytes = s.st.spilledBytes()
+			p.SpillRuns = s.st.runCount()
+			prog(p)
 		}
 	}
-	statesAtStart := res.States
-	var ord *cexOrd
-
-	for depth := startDepth; depth <= o.Depth && len(frontier) > 0; depth++ {
-		nw := o.Workers
-		if nw > len(frontier) {
-			nw = len(frontier)
-		}
-		workerCands := make([][][]candidate, nw) // [worker][shard][]candidate
-		workerSets := make([]*keySet, nw)
-		workerViol := make([]*violation, nw)
-		workerErr := make([]error, nw)
-		var cursor int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				m := machines[w]
-				cands := make([][]candidate, shardCount)
-				seen := m.seen
-				if seen == nil {
-					seen = newKeySet(kw)
-					m.seen = seen
-				}
-				seen.reset()
-				sc := newProbeScratch(kw)
-				var localTransitions int64
-				var best *violation
-			scan:
-				for {
-					i := int(atomic.AddInt64(&cursor, 1))
-					if i >= len(frontier) {
-						break
-					}
-					// One poll per frontier state: cheap next to the
-					// state's expansion, prompt enough that a deadline
-					// aborts deep levels mid-flight.
-					if ctx.Err() != nil {
-						break
-					}
-					id := frontier[i]
-					enc := st.key(id)
-					m.restoreKey(enc)
-					acts := m.actions()
-					dirty := false
-					for j, a := range acts {
-						if porBlock >= 0 && a.Block != uint64(porBlock) {
-							continue
-						}
-						if dirty {
-							m.restoreKey(enc)
-						}
-						dirty = true
-						localTransitions++
-						if v := m.step(a); len(v) > 0 {
-							c := candidate{pi: int32(i), ai: int32(j), parent: id, act: a}
-							if best == nil || c.before(best.candidate) {
-								best = &violation{candidate: c, violations: v}
-							}
-							continue
-						}
-						nk := m.encodeKey()
-						if m.canon != nil {
-							nk, _ = m.canon.canonicalize(nk)
-						}
-						// Self-loop in the (possibly quotiented) state
-						// graph: the successor is the expanding state
-						// itself, visited by construction — skip without
-						// hashing or probing.
-						if equalKey(nk, enc) {
-							continue
-						}
-						h := hashKey(nk)
-						s := shardOfHash(h)
-						// Intra-level dedup before the visited probe: a
-						// key this worker already handled this level —
-						// whether it became a candidate or turned out
-						// visited — never needs a second probe, which
-						// matters once probes can touch sealed runs on
-						// disk. Order is equivalent to probing visited
-						// first: both paths skip, and candidates are
-						// only recorded below.
-						ki, fresh := seen.add(nk, h)
-						if !fresh {
-							continue
-						}
-						ok, err := st.contains(s, nk, h, sc)
-						if err != nil {
-							workerErr[w] = err
-							break scan
-						}
-						if ok {
-							continue
-						}
-						cands[s] = append(cands[s], candidate{
-							pi: int32(i), ai: int32(j), keyIdx: int32(ki), hash: h, parent: id, act: a,
-						})
-					}
-				}
-				atomic.AddInt64(&transitions, localTransitions)
-				workerCands[w] = cands
-				workerSets[w] = seen
-				workerViol[w] = best
-			}(w)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("mcheck: exploration canceled at depth %d after %d states: %w",
-				depth, res.States, err)
-		}
-		for _, err := range workerErr {
-			if err != nil {
-				return nil, nil, fmt.Errorf("mcheck: visited-store probe at depth %d: %w", depth, err)
-			}
-		}
-
-		var best *violation
-		for _, v := range workerViol {
-			if v != nil && (best == nil || v.before(best.candidate)) {
-				best = v
-			}
-		}
-		if best != nil {
-			pk := st.key(best.parent)
-			ord = &cexOrd{
-				depth:     depth,
-				tshard:    best.parent.shard(),
-				parentKey: append([]uint64(nil), pk...),
-				ai:        best.ai,
-			}
-			trace, terr := rebuildTrace(st, rootID, best.parent)
-			if terr != nil {
-				return nil, nil, terr
-			}
-			trace = append(trace, best.act)
-			viols := best.violations
-			if o.Symmetry {
-				// Stored actions live in canonical frames; rewrite them
-				// into one executable run and recompute the violations so
-				// their messages name the actual processor indices.
-				dtrace, dviols := decanonicalizeTrace(o, trace)
-				trace = dtrace
-				if len(dviols) > 0 {
-					viols = dviols
-				}
-			}
-			res.Counterexample = &Counterexample{Trace: trace, Violations: viols}
-			res.DepthReached = depth
-			break
-		}
-
-		// Merge the level's discoveries shard-parallel: per state, the
-		// least (frontier, action) parent wins; each shard then sorts
-		// its winners by key, making the next frontier's order — and
-		// with it every (pi, ai) of the next level — independent of how
-		// workers split this one. frontStart records each shard's count
-		// before the merge: the new frontier is exactly the global
-		// indices [frontStart[s], count(s)), which is what sealing and
-		// checkpointing key off.
-		frontStart := make([]int, shardCount)
-		for s := range frontStart {
-			frontStart[s] = st.count(s)
-		}
-		newByShard := make([][]stateID, shardCount)
-		var mwg sync.WaitGroup
-		for s := 0; s < shardCount; s++ {
-			mwg.Add(1)
-			go func(s int) {
-				defer mwg.Done()
-				newByShard[s] = mergeShard(st, s, workerCands, workerSets)
-			}(s)
-		}
-		mwg.Wait()
-
-		var added int64
-		for _, ids := range newByShard {
-			added += int64(len(ids))
-		}
-		next := make([]stateID, 0, added)
-		for _, ids := range newByShard {
-			next = append(next, ids...)
-		}
-		if o.stateHook != nil {
-			for _, id := range next {
-				o.stateHook(st.key(id))
-			}
-		}
-		res.States += added
-		res.DepthReached = depth
-		frontier = next
-		if res.States >= int64(o.MaxStates) {
-			res.Truncated = true
-		}
-		// Seal over-budget shards now that the frontier boundary is
-		// known, then checkpoint the completed level. A truncated or
-		// drained run is complete — no checkpoint needed; obsolete
-		// compacted files are then dropped immediately.
-		if err := st.sealOver(frontStart); err != nil {
-			return nil, nil, err
-		}
-		if ck != nil && !res.Truncated && len(frontier) > 0 {
-			if err := ck.save(st, depth, res.States, atomic.LoadInt64(&transitions), frontStart); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			st.dropObsolete()
-		}
-		if o.Progress != nil {
-			info := ProgressInfo{
-				Depth: depth, States: res.States,
-				Transitions:  atomic.LoadInt64(&transitions),
-				RAMBytes:     st.ramBytes(),
-				SpilledBytes: st.spilledBytes(),
-				SpillRuns:    st.runCount(),
-			}
-			if s := time.Since(start).Seconds(); s > 0 {
-				info.StatesPerSec = float64(res.States-statesAtStart) / s
-			}
-			o.Progress(info)
-		}
-		if res.Truncated {
-			break
-		}
+	res, viol, err := explore(o, []ShardPeer{s})
+	if err != nil {
+		return nil, nil, err
 	}
-
-	res.Transitions = transitions
-	res.Exhausted = res.Counterexample == nil && !res.Truncated && len(frontier) == 0
+	if o.MemBudget > 0 {
+		res.MemBudget = o.MemBudget
+		res.SpilledStates = s.st.spilledStates()
+		res.SpilledBytes = s.st.spilledBytes()
+		res.SpillRuns = s.st.runCount()
+		res.SpillSeals = s.st.seals
+	}
 	if o.RecordArcs {
-		merged := machines[0]
-		for _, m := range machines[1:] {
-			for k, v := range m.arcs {
-				if _, ok := merged.arcs[k]; !ok {
-					merged.arcs[k] = v
-				}
-			}
+		runs := make([][]ObservedArc, len(s.workers))
+		for i, w := range s.workers {
+			runs[i] = w.m.sortedArcs()
 		}
-		res.Arcs = merged.sortedArcs()
+		res.Arcs = mergeArcs(runs)
 	}
-	return finalize(), ord, nil
-}
-
-// mergeShard folds every worker's candidates for shard s into the
-// shard's visited store: duplicates resolve to the least (pi, ai)
-// candidate, winners are inserted in key order, and their state IDs
-// are returned in that order. The result depends only on the candidate
-// sets, not on how workers partitioned the frontier.
-func mergeShard(st *spillStore, s int, workerCands [][][]candidate, workerSets []*keySet) []stateID {
-	total := 0
-	for w := range workerCands {
-		total += len(workerCands[w][s])
-	}
-	if total == 0 {
-		return nil
-	}
-	type winner struct {
-		cand candidate
-		w    int32 // worker whose keySet holds the key
-	}
-	winners := make([]winner, 0, total)
-	slotsLen := 4
-	for slotsLen < 2*total {
-		slotsLen *= 2
-	}
-	slots := make([]int32, slotsLen) // winner index + 1; 0 = empty
-	mask := uint64(slotsLen - 1)
-	for w := range workerCands {
-		for _, c := range workerCands[w][s] {
-			key := workerSets[w].key(int(c.keyIdx))
-			pos := c.hash & mask
-			for {
-				sl := slots[pos]
-				if sl == 0 {
-					winners = append(winners, winner{cand: c, w: int32(w)})
-					slots[pos] = int32(len(winners))
-					break
-				}
-				wi := &winners[sl-1]
-				if wi.cand.hash == c.hash && equalKey(workerSets[wi.w].key(int(wi.cand.keyIdx)), key) {
-					if c.before(wi.cand) {
-						*wi = winner{cand: c, w: int32(w)}
-					}
-					break
-				}
-				pos = (pos + 1) & mask
-			}
-		}
-	}
-	sort.Slice(winners, func(i, j int) bool {
-		return lessKey(workerSets[winners[i].w].key(int(winners[i].cand.keyIdx)),
-			workerSets[winners[j].w].key(int(winners[j].cand.keyIdx)))
-	})
-	ids := make([]stateID, len(winners))
-	for i, wi := range winners {
-		idx := st.insert(s, workerSets[wi.w].key(int(wi.cand.keyIdx)), wi.cand.hash,
-			edge{parent: wi.cand.parent, act: wi.cand.act})
-		ids[i] = packID(s, idx)
-	}
-	return ids
-}
-
-// rebuildTrace walks parent edges from id back to the root and returns
-// the action sequence in execution order. Edges of sealed entries are
-// read back from their runs — one pread per hop.
-func rebuildTrace(st *spillStore, rootID, id stateID) ([]Action, error) {
-	sc := newProbeScratch(st.kw)
-	var rev []Action
-	for id != rootID {
-		e, err := st.edgeOf(id, sc)
-		if err != nil {
-			return nil, err
-		}
-		rev = append(rev, e.act)
-		id = e.parent
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, nil
+	s.DiscardCheckpoint()
+	return res, viol, nil
 }

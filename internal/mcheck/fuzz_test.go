@@ -1,6 +1,7 @@
 package mcheck
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,24 +16,16 @@ import (
 // bytes written at other widths are still useful inputs.
 const fuzzKW = 3
 
-// fuzzSessionOptions builds the session whose loadSession the fuzzer
-// drives; its key layout must be stable, not pretty (kw here is
-// whatever bitar p2 b2 w2 packs to, not fuzzKW).
-func fuzzSessionOptions() Options {
-	return Options{Protocol: protocol.MustNew("bitar"), Procs: 2, Blocks: 2, Words: 2, Depth: 3, Workers: 1}
-}
-
-// FuzzRunFileDecode throws arbitrary bytes at every on-disk decoder of
-// the spill/checkpoint layer — sealed run files, checkpoint snapshots,
-// and shard-session snapshots, selected by the first input byte. Each
-// decoder may reject the input (they almost always must) but may never
-// panic, hang, or allocate unboundedly: all three read length fields
-// from the file and the bounds checks on those are exactly what this
-// target exercises.
+// FuzzRunFileDecode throws arbitrary bytes at both on-disk decoders of
+// the spill/checkpoint layer — sealed run files and checkpoint
+// snapshots, selected by the first input byte. Each decoder may reject
+// the input (they almost always must) but may never panic, hang, or
+// allocate unboundedly: both read length fields from the file and the
+// bounds checks on those are exactly what this target exercises.
 func FuzzRunFileDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, which byte, data []byte) {
 		dir := t.TempDir()
-		switch which % 3 {
+		switch which % 2 {
 		case 0:
 			path := filepath.Join(dir, "fuzz.mcr")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -61,45 +54,86 @@ func FuzzRunFileDecode(f *testing.F) {
 				t.Fatal(err)
 			}
 			st := newSpillStore(fuzzKW, dir, 0)
-			_, _, _ = readSnapshot(path, st)
-		case 2:
-			s, err := NewShardSession(fuzzSessionOptions(), 0, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.SetCheckpointDir(dir, true); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, sessFileName), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, _ = s.loadSession()
+			_, _ = readSnapshot(path, st, 2)
 		}
 	})
 }
 
-// TestRegenerateFuzzSeeds rewrites the committed seed corpus under
-// testdata/fuzz/FuzzRunFileDecode from freshly encoded valid files —
-// one per decoder — so the fuzzer starts from inputs that reach deep
-// past the header checks. Run with MCHECK_WRITE_FUZZ_SEEDS=1 after an
-// on-disk format change; it is a no-op otherwise.
+// absorbBody is the part of a replica's absorb call body that reaches
+// ShardSession.Absorb.
+type absorbBody struct {
+	Seq   int64      `json:"seq"`
+	Cands []WireCand `json:"cands"`
+}
+
+// fuzzAbsorbSession opens session 0 of 2 on bitar p2 b2 and expands
+// its first level, the state a replica is in when level 1's absorb
+// arrives.
+func fuzzAbsorbSession(t testing.TB) (*ShardSession, *ShardExpandReply) {
+	o := Options{Protocol: protocol.MustNew("bitar"), Procs: 2, Blocks: 2, Depth: 4, Workers: 1}
+	s, err := NewShardSession(o, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := s.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, ex
+}
+
+// FuzzShardAbsorb decodes arbitrary bytes as an absorb body and feeds
+// it to a session that has been opened and expanded. Absorb may reject
+// the input but must not panic, and the session must still expand
+// afterwards: a rejected absorb leaves it untouched, an accepted one
+// leaves only states the executor can restore.
+func FuzzShardAbsorb(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var body absorbBody
+		if json.Unmarshal(data, &body) != nil {
+			return
+		}
+		s, _ := fuzzAbsorbSession(t)
+		_, _ = s.Absorb(body.Seq, body.Cands)
+		if _, err := s.Expand(); err != nil {
+			t.Fatalf("session no longer expands after absorb: %v", err)
+		}
+	})
+}
+
+// TestRegenerateFuzzSeeds rewrites the committed seed corpora under
+// testdata/fuzz from freshly encoded valid inputs — a run file and a
+// snapshot for FuzzRunFileDecode, level-1 absorb bodies from a real
+// expansion for FuzzShardAbsorb — so the fuzzers start from inputs
+// that reach deep past the header checks. Run with
+// MCHECK_WRITE_FUZZ_SEEDS=1 after a format change; it is a no-op
+// otherwise.
 func TestRegenerateFuzzSeeds(t *testing.T) {
 	if os.Getenv("MCHECK_WRITE_FUZZ_SEEDS") == "" {
 		t.Skip("set MCHECK_WRITE_FUZZ_SEEDS=1 to regenerate the seed corpus")
 	}
-	corpusDir := filepath.Join("testdata", "fuzz", "FuzzRunFileDecode")
-	if err := os.MkdirAll(corpusDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writeSeed := func(name string, which byte, data []byte) {
-		body := fmt.Sprintf("go test fuzz v1\nbyte(%q)\n[]byte(%q)\n", which, data)
-		if err := os.WriteFile(filepath.Join(corpusDir, name), []byte(body), 0o644); err != nil {
+	// writeSeed writes one corpus file; a nil which marks a target
+	// that takes only the bytes.
+	writeSeed := func(target, name string, which *byte, data []byte) {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		body := "go test fuzz v1\n"
+		if which != nil {
+			body += fmt.Sprintf("byte(%q)\n", *which)
+		}
+		body += fmt.Sprintf("[]byte(%q)\n", data)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dir := t.TempDir()
 
-	// Seed 0: a sealed run file with enough keys for delta blocks.
+	// A sealed run file with enough keys for delta blocks.
 	w, err := newRunWriter(dir, 1, fuzzKW, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +147,7 @@ func TestRegenerateFuzzSeeds(t *testing.T) {
 		if err := w.add(cur, hashKey(cur)); err != nil {
 			t.Fatal(err)
 		}
-		putEdge(ebuf[:], edge{parent: packID(i%shardCount, i), act: Action{Proc: i % 2}})
+		putEdge(ebuf[:], edge{parent: packID(i%shardCount, i), psess: int32(i % 2), act: Action{Proc: i % 2}})
 		edges = append(edges, ebuf[:]...)
 	}
 	if err := w.finish(edges); err != nil {
@@ -123,48 +157,37 @@ func TestRegenerateFuzzSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeSeed("seed-runfile", 0, data)
+	runfile, snapshot := byte(0), byte(1)
+	writeSeed("FuzzRunFileDecode", "seed-runfile", &runfile, data)
 
-	// Seed 1: a checkpoint snapshot of a small live store.
+	// A checkpoint snapshot of a small live store whose edges name
+	// both sessions of a two-session run.
 	st := newSpillStore(fuzzKW, dir, 0)
 	key := make([]uint64, fuzzKW)
+	frontStart := make([]int, shardCount)
 	for i := 0; i < 50; i++ {
 		key[0] = uint64(i) + 1
 		key[2] = uint64(i * i)
 		h := hashKey(key)
-		st.shards[shardOfHash(h)].live.insert(key, h, edge{parent: noParent})
+		st.insert(shardOfHash(h), key, h, edge{parent: packID(i%shardCount, i), psess: int32(i % 2)})
 	}
 	snapPath := filepath.Join(dir, "seed.mcs")
-	if err := writeSnapshot(snapPath, st, 2, 50, 199, make([]int, shardCount)); err != nil {
+	if err := writeSnapshot(snapPath, st, 2, 199, frontStart); err != nil {
 		t.Fatal(err)
 	}
 	if data, err = os.ReadFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	writeSeed("seed-snapshot", 1, data)
+	writeSeed("FuzzRunFileDecode", "seed-snapshot", &snapshot, data)
 
-	// Seed 2: a shard-session snapshot, written by a real Open+Absorb
-	// so it has states, ext edges, and a frontier.
-	sessDir := filepath.Join(dir, "sess")
-	s, err := NewShardSession(fuzzSessionOptions(), 0, 2)
-	if err != nil {
-		t.Fatal(err)
+	// Level-1 absorb bodies: what session 0 mails itself (accepted)
+	// and what it mails session 1 (misrouted here, so rejected).
+	_, ex := fuzzAbsorbSession(t)
+	for d, name := range []string{"seed-own", "seed-misrouted"} {
+		body, err := json.Marshal(absorbBody{Seq: 1, Cands: ex.Out[d]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeSeed("FuzzShardAbsorb", name, nil, body)
 	}
-	if err := s.SetCheckpointDir(sessDir, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Open(); err != nil {
-		t.Fatal(err)
-	}
-	ex, err := s.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Absorb(1, ex.Out[0]); err != nil {
-		t.Fatal(err)
-	}
-	if data, err = os.ReadFile(filepath.Join(sessDir, sessFileName)); err != nil {
-		t.Fatal(err)
-	}
-	writeSeed("seed-session", 2, data)
 }

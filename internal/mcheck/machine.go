@@ -60,10 +60,6 @@ type machine struct {
 	// Options.Symmetry is off).
 	canon *canonizer
 
-	// seen is the owning worker's intra-level duplicate filter and
-	// candidate-key arena, kept across BFS levels to reuse its storage.
-	seen *keySet
-
 	// checker is the invariant suite with its scratch, run once per
 	// explored transition.
 	checker *coherence.Checker

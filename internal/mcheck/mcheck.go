@@ -1,8 +1,8 @@
-// Package mcheck is a bounded exhaustive model checker for the ten
+// Package mcheck is a bounded exhaustive model checker for the 13
 // cache-synchronization protocols: it enumerates every interleaving of
 // processor operations (reads, writes, lock acquire/release,
-// whole-block writes, and evictions) over a small configuration (2–3
-// caches, 1–2 blocks, depth ≤ ~10) and verifies the DESIGN §6
+// whole-block writes, and evictions) over a small configuration (1–8
+// processors, 1–4 blocks, a bounded depth) and verifies the DESIGN §6
 // invariants — serialization, latest version with real data values,
 // single source, lock mutual exclusion, and conservation — at every
 // reachable state.
@@ -15,9 +15,11 @@
 // can reach. States are packed into fixed-width binary keys (machine
 // encodeKey), optionally quotiented by processor symmetry (canon.go),
 // hashed once, deduplicated in open-addressing shard tables (table.go),
-// and explored by a level-synchronized parallel BFS (workers shard the
-// frontier; the level barrier preserves BFS order), so the first
-// violation found is a shortest — minimized — counterexample. A
+// and explored by one level-synchronized BFS kernel (shard.go) — over
+// one in-process session for Run, over a fleet of sessions for
+// RunSharded; workers share each session's frontier and the level
+// barrier preserves BFS order — so the first violation found is a
+// shortest — minimized — counterexample. A
 // counterexample replays both through the executor and, when the trace
 // is sim-representable, through a real sim.System run whose bus
 // activity renders as a paper-style sequence diagram
@@ -57,7 +59,8 @@ type Options struct {
 	Words int
 	// Depth bounds the operation-sequence length explored.
 	Depth int
-	// Workers is the parallel BFS worker count (≤ 1 means serial).
+	// Workers is the parallel BFS worker count of each session (≤ 1
+	// means serial).
 	Workers int
 	// MaxStates truncates the search after this many distinct states
 	// (0 means a safe default).
@@ -95,10 +98,10 @@ type Options struct {
 	// the in-memory run; only disk usage and speed differ. 0 keeps the
 	// whole visited set in memory.
 	MemBudget int64
-	// CheckpointDir, when set, enables checkpoint/resume: after every
-	// completed BFS level the frontier, live visited tables, sealed-run
-	// manifest, and counters are atomically serialized into this
-	// directory (spilled runs live there too). A run killed mid-flight
+	// CheckpointDir, when set, enables checkpoint/resume: at the start
+	// and after every completed BFS level the frontier, live visited
+	// tables, sealed-run manifest, and counters are atomically
+	// serialized into this directory (spilled runs live there too). A run killed mid-flight
 	// can be resumed with Resume and produces a byte-identical Result.
 	// Does not compose with RecordArcs.
 	CheckpointDir string
@@ -108,9 +111,10 @@ type Options struct {
 	// at-most-once exploration of each level.
 	Resume bool
 	// Context, when non-nil, cancels the exploration: every BFS worker
-	// polls it per frontier state, so a deadline or Ctrl-C aborts
-	// mid-level rather than after the frontier drains. Run then returns
-	// an error wrapping ctx.Err() (test with errors.Is).
+	// of an in-process session polls it per frontier state and the
+	// coordinator per level, so a deadline or Ctrl-C aborts mid-level
+	// rather than after the frontier drains. Run and RunSharded then
+	// return an error wrapping ctx.Err() (test with errors.Is).
 	Context context.Context
 	// Progress, when set, is called from the coordinating goroutine
 	// after every completed BFS level with the cumulative counts and

@@ -18,9 +18,9 @@ import (
 // block's actions together.
 //
 // The reduction exploits this by never exploring a state with two
-// modified blocks: it runs one unreduced BFS per block with expansion
-// restricted to that block's actions (runCore's porBlock filter) and
-// takes the union. Soundness and counterexample exactness:
+// modified blocks: it runs one kernel pass per block with expansion
+// restricted to that block's actions (the session's porBlock filter)
+// and takes the union. Soundness and counterexample exactness:
 //
 //   - A shortest violating trace only contains actions on the violated
 //     block: dropping the other blocks' actions leaves the violation
@@ -37,11 +37,10 @@ import (
 //     parent edges — least (frontier, action) — therefore coincide
 //     with the full run's, and the rebuilt (and de-canonicalized)
 //     trace is byte-identical.
-//   - Across sub-runs, the winning violation is the least cexOrd
-//     (depth, parent table shard, parent key, action index) — the
-//     same tiebreak the unreduced BFS applies to simultaneous
-//     violations, evaluated on intrinsic state data instead of
-//     frontier positions so it is comparable between runs.
+//   - Across sub-runs, the winning violation is the least (depth,
+//     WireOrd) — the same tiebreak the unreduced BFS applies to
+//     simultaneous violations, evaluated on intrinsic state data
+//     instead of frontier positions so it is comparable between runs.
 //
 // Counts cover the union of the sub-runs: every non-root state of
 // sub-run b has block b modified, so the unions are disjoint and
@@ -71,8 +70,9 @@ func runPOR(o Options) (*Result, error) {
 	}
 
 	type found struct {
-		ord cexOrd
-		cex *Counterexample
+		depth int
+		ord   WireOrd
+		cex   *Counterexample
 	}
 	var best *found
 	depthLimit := o.Depth
@@ -173,7 +173,7 @@ func runPOR(o Options) (*Result, error) {
 				o.Progress(p)
 			}
 		}
-		sub, ord, err := runCore(so, b)
+		sub, viol, err := runLocal(so, b)
 		if err != nil {
 			return nil, err
 		}
@@ -208,14 +208,13 @@ func runPOR(o Options) (*Result, error) {
 				res.Truncated = false
 				return finish(), nil
 			}
-			if best == nil || ord.before(best.ord) {
-				best = &found{ord: *ord, cex: sub.Counterexample}
+			f := found{depth: sub.DepthReached, ord: viol.Ord, cex: sub.Counterexample}
+			if best == nil || f.depth < best.depth || f.depth == best.depth && f.ord.compare(best.ord) < 0 {
+				best = &f
 			}
 			// No later sub-run can beat a violation at this depth with
 			// one at a greater depth, so tighten the bound.
-			if ord.depth < depthLimit {
-				depthLimit = ord.depth
-			}
+			depthLimit = min(depthLimit, f.depth)
 			acc = nil
 		} else if acc != nil {
 			acc.Blocks = append(acc.Blocks, porBlockResult{
@@ -233,7 +232,7 @@ func runPOR(o Options) (*Result, error) {
 
 	if best != nil {
 		res.Counterexample = best.cex
-		res.DepthReached = best.ord.depth
+		res.DepthReached = best.depth
 	} else {
 		res.Exhausted = exhausted && !res.Truncated
 	}
@@ -244,7 +243,7 @@ func runPOR(o Options) (*Result, error) {
 }
 
 // mergeArcs unions per-run observed arcs, first sighting winning —
-// the same policy runCore applies across workers.
+// across a run's workers and across POR blocks alike.
 func mergeArcs(runs [][]ObservedArc) []ObservedArc {
 	seen := make(map[arcKey]struct{})
 	var out []ObservedArc

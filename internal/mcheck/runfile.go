@@ -61,7 +61,8 @@ func fnv1a(h uint64, p []byte) uint64 {
 	return h
 }
 
-// putEdge encodes one parent edge into a fixed 32-byte record.
+// putEdge encodes one parent edge into a fixed 32-byte record; the
+// parent's session shard fills the last four bytes.
 func putEdge(dst []byte, e edge) {
 	binary.LittleEndian.PutUint64(dst[0:], uint64(e.parent))
 	binary.LittleEndian.PutUint64(dst[8:], e.act.Block)
@@ -70,13 +71,14 @@ func putEdge(dst []byte, e edge) {
 	dst[25] = uint8(e.act.Kind)
 	dst[26] = uint8(e.act.Op)
 	dst[27] = uint8(e.act.Word)
-	dst[28], dst[29], dst[30], dst[31] = 0, 0, 0, 0
+	binary.LittleEndian.PutUint32(dst[28:], uint32(e.psess))
 }
 
 // getEdge decodes a 32-byte edge record.
 func getEdge(src []byte) edge {
 	return edge{
 		parent: stateID(binary.LittleEndian.Uint64(src[0:])),
+		psess:  int32(binary.LittleEndian.Uint32(src[28:])),
 		act: Action{
 			Block: binary.LittleEndian.Uint64(src[8:]),
 			Value: binary.LittleEndian.Uint64(src[16:]),

@@ -170,9 +170,13 @@ func TestShardSessionCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestShardSessionAbsorbSeq pins the sequence discipline: a replayed
+// TestShardSessionAbsorbSeq pins Absorb's input discipline. A replayed
 // level is answered from the recorded reply without reapplying, and
-// anything out of order is an error, not silent corruption.
+// anything out of order is an error, not silent corruption. Candidates
+// are checked as they would arrive over HTTP: the owner hashes each key
+// itself, so one key sent twice under different claimed hashes is one
+// state, and a parent outside every session is refused before anything
+// is stored.
 func TestShardSessionAbsorbSeq(t *testing.T) {
 	o := Options{Protocol: protocol.MustNew("bitar"), Procs: 2, Blocks: 2, Depth: 4, Workers: 1}
 	s, err := NewShardSession(o, 0, 1)
@@ -197,18 +201,50 @@ func TestShardSessionAbsorbSeq(t *testing.T) {
 	if replay.Added != first.Added || replay.Seq != 1 {
 		t.Fatalf("replay replied (%d,%d), first delivery said (%d,1)", replay.Added, replay.Seq, first.Added)
 	}
-	if states := s.visited[0].n + func() (n int) {
-		for _, tb := range s.visited[1:] {
-			n += tb.n
-		}
-		return
-	}(); int64(states) != first.Added+1 {
+	if states := s.st.states(); states != first.Added+1 {
 		t.Fatalf("replay reapplied: %d visited states, want %d", states, first.Added+1)
 	}
 	for _, bad := range []int64{0, 3} {
 		if _, err := s.Absorb(bad, nil); err == nil || !strings.Contains(err.Error(), "absorb seq") {
 			t.Fatalf("absorb seq %d (session at 1): err = %v, want sequence error", bad, err)
 		}
+	}
+
+	s, err = NewShardSession(o, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if ex, err = s.Expand(); err != nil {
+		t.Fatal(err)
+	}
+	c := ex.Out[0][0]
+	bad := c
+	bad.ParentSess = -1
+	if _, err := s.Absorb(1, []WireCand{c, bad}); err == nil || !strings.Contains(err.Error(), "parent") {
+		t.Fatalf("absorb of a candidate with psess -1: err = %v, want a parent error", err)
+	}
+	if n := s.st.states(); n != 1 {
+		t.Fatalf("rejected absorb stored states: %d visited, want 1", n)
+	}
+	raw, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hashKey(c.Key)
+	body := fmt.Sprintf(`[{"hash":%d,%s,{"hash":%d,%s]`, h, raw[1:], h^1<<63, raw[1:])
+	var twice []WireCand
+	if err := json.Unmarshal([]byte(body), &twice); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Absorb(1, twice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Added != 1 || s.st.states() != 2 {
+		t.Fatalf("one key under two claimed hashes: added %d, %d visited; want 1 and 2", got.Added, s.st.states())
 	}
 }
 

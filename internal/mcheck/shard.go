@@ -1,45 +1,53 @@
 package mcheck
 
 import (
+	"cmp"
+	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cachesync/internal/protocol"
 )
 
-// Distributed exploration.
+// The exploration kernel.
 //
-// The visited set is partitioned across N session shards by state
-// hash (sessionShardOf); each shard holds the states it owns, expands
-// its slice of the global frontier, and mails newly discovered states
-// to their owners. A coordinator (RunSharded) drives the shards
-// through level-synchronized phases — expand, then absorb — so the
-// global exploration is the same BFS runCore performs, with the level
-// barrier stretched over the network.
+// Every exploration is one level-synchronized BFS driven by
+// RunSharded over session shards: Run is RunSharded over one
+// in-process ShardSession, each POR block is such a run with expansion
+// filtered to the block, and a fleet check drives remote replicas
+// speaking the same ShardPeer protocol over HTTP. The visited set is
+// partitioned across sessions by state hash (sessionShardOf); each
+// session holds the states it owns in a spill store, expands its slice
+// of the global frontier with Options.Workers goroutines, and mails
+// every newly discovered state — its own included — to the owner as a
+// WireCand. The coordinator drives the phases — expand everywhere,
+// then absorb everywhere — so the level barrier stretches over the
+// network unchanged.
 //
-// Equivalence with the single-process run rests on the same idea as
-// partial-order reduction's counterexample proof: every tiebreak the
-// single-process BFS makes by frontier position is re-expressed in
-// intrinsic state data. The global frontier at each level is ordered
-// (visited-table shard, key); a shard's slice of it is a subsequence,
-// so a candidate's ordinal (parent table shard, parent key, action
-// index) — wireOrd — compares across shards exactly as the global
-// (frontier index, action index) pair does. Duplicate discoveries
-// resolve to the least ordinal wherever they land (absorb), and
-// simultaneous violations resolve to the least ordinal at the
-// coordinator, which rebuilds the trace by following parent pointers
-// across shards and de-canonicalizes it exactly as runCore would. The
-// HTTP-level differential test asserts the merged Result is
-// byte-identical to a single-replica run.
+// Determinism rests on expressing every tiebreak in intrinsic state
+// data. The global frontier at each level is ordered (visited-table
+// shard, key); a session's slice is a subsequence of it, and a
+// worker's share of the slice is scanned in order, so a transition's
+// ordinal (parent table shard, parent key, action index) — WireOrd —
+// orders it exactly as one global scan would, however the frontier is
+// split across sessions and workers. Duplicate discoveries resolve to
+// the least ordinal at the owner (Absorb), which inserts winners in
+// (table shard, key) order, so state IDs depend only on the set of
+// discovered states; simultaneous violations resolve to the least
+// ordinal at the coordinator, which rebuilds the trace by following
+// parent pointers across sessions and de-canonicalizes it. The merged
+// Result is byte-identical (timing aside) for any session and worker
+// count — TestShardedEquivalence in process, and the cluster's
+// differential over HTTP.
 //
-// Sharded expansion is deliberately single-threaded per session —
-// the in-order scan is what makes first-seen-wins equal
-// least-ordinal-wins — so fleet throughput comes from running the
-// shards on different machines, not from intra-shard workers. POR
-// does not compose with sharding (per-block sub-runs would each need
-// their own fleet pass); RunSharded and NewShardSession reject it.
+// POR does not compose with sharding (each block would need its own
+// fleet pass), nor does MemBudget (spilling is per-process): both are
+// rejected for more than one session.
 
 // sessionShardOf maps a state hash to its owning session shard. It
 // must stay independent of shardOfHash (which takes the top 6 bits),
@@ -71,28 +79,29 @@ func fromWire(w WireAction) Action {
 // WireOrd is a transition's global tiebreak ordinal: the discovering
 // parent's visited-table shard and key (its position in the global
 // frontier order) plus the action's index in the parent's full action
-// list.
+// list — also under POR, whose expansion skips other blocks' actions,
+// so ordinals compare across blocks.
 type WireOrd struct {
 	TShard    int      `json:"tshard"`
 	ParentKey []uint64 `json:"pkey"`
 	AI        int32    `json:"ai"`
 }
 
-func (o WireOrd) before(p WireOrd) bool {
-	if o.TShard != p.TShard {
-		return o.TShard < p.TShard
+func (o WireOrd) compare(p WireOrd) int {
+	if c := cmp.Compare(o.TShard, p.TShard); c != 0 {
+		return c
 	}
-	if !equalKey(o.ParentKey, p.ParentKey) {
-		return lessKey(o.ParentKey, p.ParentKey)
+	if c := compareKey(o.ParentKey, p.ParentKey); c != 0 {
+		return c
 	}
-	return o.AI < p.AI
+	return cmp.Compare(o.AI, p.AI)
 }
 
 // WireCand is one newly discovered state in flight to its owning
-// session shard.
+// session shard. Its owner hashes Key itself: nothing a sender claims
+// about the key decides routing or storage.
 type WireCand struct {
 	Key        []uint64   `json:"key"`
-	Hash       uint64     `json:"hash"`
 	Ord        WireOrd    `json:"ord"`
 	ParentSess int        `json:"psess"`
 	Parent     uint64     `json:"parent"` // packed stateID in the parent's session
@@ -110,6 +119,12 @@ type ShardOpenReply struct {
 	// verifies Seq against its own progress before trusting the peer.
 	Resumed bool  `json:"resumed,omitempty"`
 	Seq     int64 `json:"seq,omitempty"`
+	// States, Transitions and Frontier are the session's own counts at
+	// Seq — states it owns, transitions it expanded, states on its
+	// frontier — which the coordinator sums to continue at level Seq+1.
+	States      int64 `json:"states,omitempty"`
+	Transitions int64 `json:"transitions,omitempty"`
+	Frontier    int64 `json:"frontier,omitempty"`
 }
 
 // ShardViolation is a violating transition found during expansion.
@@ -123,7 +138,8 @@ type ShardViolation struct {
 
 // ShardExpandReply is one session's expansion of its frontier slice:
 // candidates grouped by destination session shard, plus the least
-// violating transition, if any.
+// violating transition, if any. The candidates alias the session's
+// buffers and stay valid until its next Expand.
 type ShardExpandReply struct {
 	Out         [][]WireCand    `json:"out"`
 	Transitions int64           `json:"transitions"`
@@ -157,39 +173,61 @@ type ShardPeer interface {
 	Close() error
 }
 
-// extEdge is a visited state's parent pointer across session shards.
-type extEdge struct {
-	parentSess int32 // -1 marks the root
-	parent     stateID
-	act        Action
+// ShardSession is one session shard's state: the slice of the visited
+// set it owns, its frontier, and one machine per expand worker.
+type ShardSession struct {
+	o        Options
+	self     int
+	total    int
+	porBlock int // ≥ 0: expand only this block's actions (a POR sub-run)
+	kw       int
+	workers  []*expandWorker
+	merged   [][]WireCand // per destination: the workers' outboxes joined
+
+	st    *spillStore // nil until Open
+	tmp   string      // spill directory owned by the session (no checkpointing)
+	front []stateID
+
+	// Absorb scratch, reused across levels.
+	hashes     []uint64
+	order      []int32
+	frontStart []int
+	wins       []int // per table shard: new states this absorb
+
+	// seq counts absorbed levels; transitions counts the transitions
+	// expanded through level seq, and pending those of the last Expand,
+	// committed by the Absorb that follows it.
+	seq, transitions, pending int64
+
+	// Checkpointing (checkpoint.go): with ck set, the session
+	// checkpoints itself after Open and after every Absorb, so Run can
+	// resume and a coordinator can re-dispatch the session to another
+	// replica when this one dies.
+	ck     *checkpointer
+	resume bool
 }
 
-// ShardSession is one session shard's state: the slice of the visited
-// set it owns, its frontier, and a machine for expansion.
-type ShardSession struct {
-	o       Options
-	self    int
-	total   int
-	m       *machine
-	kw      int
-	visited []*shardTable
-	ext     [][]extEdge // parallel to each shardTable's entries
-	front   []stateID
-	seen    *keySet
-
-	// Checkpointing (sessionckpt.go): with ckptDir set, the session
-	// snapshots itself after Open and after every Absorb, so a
-	// coordinator can re-dispatch it to another replica when this one
-	// dies. seq counts absorbed levels; lastAdded makes an Absorb
-	// retry after a re-dispatch idempotent.
-	ckptDir   string
-	resume    bool
-	seq       int64
-	lastAdded int64
+// expandWorker is one expand goroutine's state, reused across levels:
+// its machine, its intra-level duplicate filter (whose arena holds the
+// keys of the candidates it mails), and its outboxes per destination.
+type expandWorker struct {
+	m           *machine
+	seen        *keySet
+	sc          *probeScratch
+	out         [][]WireCand
+	transitions int64
+	// The worker's least violating transition: frontier index vi (-1
+	// when none), action index vj.
+	vi, vj int
+	vact   Action
+	viols  []string
+	err    error
 }
 
 // NewShardSession builds session shard self of total for one
-// exploration. The configuration must be identical on every shard.
+// exploration. The configuration must be identical on every shard. A
+// session with a MemBudget spills to a temporary directory that Close
+// removes.
 func NewShardSession(opts Options, self, total int) (*ShardSession, error) {
 	o := opts.withDefaults()
 	if err := validate(o); err != nil {
@@ -198,123 +236,240 @@ func NewShardSession(opts Options, self, total int) (*ShardSession, error) {
 	if o.POR {
 		return nil, fmt.Errorf("mcheck: POR does not compose with sharded exploration")
 	}
-	if o.MemBudget > 0 {
+	if o.MemBudget > 0 && total > 1 {
 		return nil, fmt.Errorf("mcheck: MemBudget does not compose with sharded exploration (spilling is per-process)")
 	}
 	if total < 1 || self < 0 || self >= total {
 		return nil, fmt.Errorf("mcheck: shard %d/%d out of range", self, total)
 	}
-	s := &ShardSession{o: o, self: self, total: total, m: newMachine(o)}
-	s.kw = s.m.lay.total
-	s.visited = make([]*shardTable, shardCount)
-	s.ext = make([][]extEdge, shardCount)
-	for i := range s.visited {
-		s.visited[i] = newShardTable(s.kw)
+	return newSession(o, self, total, -1), nil
+}
+
+// newSession builds a session from validated options.
+func newSession(o Options, self, total, porBlock int) *ShardSession {
+	s := &ShardSession{o: o, self: self, total: total, porBlock: porBlock}
+	for range o.Workers {
+		m := newMachine(o)
+		s.workers = append(s.workers, &expandWorker{
+			m: m, seen: newKeySet(m.lay.total), sc: newProbeScratch(m.lay.total),
+			out: make([][]WireCand, total),
+		})
 	}
-	s.seen = newKeySet(s.kw)
-	return s, nil
+	s.kw = s.workers[0].m.lay.total
+	s.merged = make([][]WireCand, total)
+	s.frontStart = make([]int, shardCount)
+	s.wins = make([]int, shardCount)
+	return s
+}
+
+func (s *ShardSession) notOpen() error {
+	return fmt.Errorf("mcheck: shard %d: session not open", s.self)
 }
 
 // Open seeds the initial state into its owning session and reports
 // root invariant violations. With a checkpoint directory set and
-// resume requested, an existing session snapshot is restored instead
-// of seeding — the re-dispatch path after a replica death.
+// resume requested, an existing checkpoint is restored instead of
+// seeding — Run's resume, and the re-dispatch path after a replica
+// death; without resume, Open first clears whatever checkpoint a
+// crashed earlier session left in the directory.
 func (s *ShardSession) Open() (*ShardOpenReply, error) {
-	reply := &ShardOpenReply{Workers: s.o.Workers}
-	root := s.m.encodeKey()
-	if s.m.canon != nil {
-		root, _ = s.m.canon.canonicalize(root)
+	if s.st != nil {
+		return nil, fmt.Errorf("mcheck: shard %d: session already open", s.self)
 	}
-	if v := s.m.checkInvariants(Action{}, stepResult{}); len(v) > 0 {
-		reply.RootViolations = v
+	dir := ""
+	if s.ck != nil {
+		dir = s.ck.dir
+	} else if s.o.MemBudget > 0 {
+		tmp, err := os.MkdirTemp("", "mcheck-spill-")
+		if err != nil {
+			return nil, fmt.Errorf("mcheck: spill dir: %w", err)
+		}
+		s.tmp, dir = tmp, tmp
+	}
+	s.st = newSpillStore(s.kw, dir, s.o.MemBudget)
+
+	m := s.workers[0].m
+	root := m.encodeKey()
+	if m.canon != nil {
+		// The initial state is fully symmetric, so canonicalization is
+		// the identity; run it anyway so any future asymmetric initial
+		// state is still handled correctly.
+		root, _ = m.canon.canonicalize(root)
 	}
 	h := hashKey(root)
-	owns := sessionShardOf(h, s.total) == s.self
-	if s.ckptDir != "" {
-		if s.resume {
-			ok, err := s.loadSession()
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				reply.Root = owns
-				reply.Resumed = true
-				reply.Seq = s.seq
-				return reply, nil
-			}
-		} else {
-			// A fresh open owns the directory: drop any stale snapshot a
-			// crashed earlier session with the same name left behind.
-			s.removeSessionFile()
+	reply := &ShardOpenReply{Workers: s.o.Workers, Root: sessionShardOf(h, s.total) == s.self}
+	if v := m.checkInvariants(Action{}, stepResult{}); len(v) > 0 {
+		reply.RootViolations = v
+		return reply, nil
+	}
+	if s.ck != nil {
+		if !s.resume {
+			s.ck.clear()
+		} else if ok, err := s.ck.load(s); err != nil {
+			return nil, err
+		} else if ok {
+			reply.Resumed = true
+			reply.Seq = s.seq
+			reply.States = s.st.states()
+			reply.Transitions = s.transitions
+			reply.Frontier = int64(len(s.front))
+			return reply, nil
 		}
 	}
-	if owns {
+	if reply.Root {
 		ts := shardOfHash(h)
-		idx := s.visited[ts].insert(root, h, edge{parent: noParent})
-		s.ext[ts] = append(s.ext[ts], extEdge{parentSess: -1})
-		s.front = []stateID{packID(ts, idx)}
-		reply.Root = true
+		s.front = append(s.front, packID(ts, s.st.insert(ts, root, h, edge{parent: noParent})))
+		reply.States, reply.Frontier = 1, 1
+		if s.o.stateHook != nil {
+			s.o.stateHook(root)
+		}
 	}
-	if s.ckptDir != "" {
-		if err := s.saveSession(); err != nil {
+	if s.ck != nil {
+		clear(s.frontStart)
+		if err := s.ck.save(s); err != nil {
 			return nil, err
 		}
 	}
 	return reply, nil
 }
 
-// Expand walks the session's frontier slice in (table shard, key)
-// order — the global frontier order restricted to owned states — and
-// returns the discovered candidates routed by owner. Because the scan
-// is in ordinal order, first-seen intra-level dedup keeps the
-// least-ordinal discoverer, matching runCore's merge.
+// Expand walks the session's frontier slice — the global frontier
+// order restricted to owned states — with its workers claiming states
+// in order from a shared cursor, and returns the discovered candidates
+// routed by owner. Each worker drops self-loops and keys it already
+// handled this level before probing the visited store, and probes only
+// for states this session owns; duplicates across workers and
+// sessions are resolved by Absorb.
 func (s *ShardSession) Expand() (*ShardExpandReply, error) {
-	reply := &ShardExpandReply{Out: make([][]WireCand, s.total)}
-	s.seen.reset()
-	for _, id := range s.front {
-		enc := s.visited[id.shard()].key(id.index())
-		s.m.restoreKey(enc)
-		acts := s.m.actions()
+	if s.st == nil {
+		return nil, s.notOpen()
+	}
+	ctx := s.o.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	used := s.workers[:max(1, min(len(s.workers), len(s.front)))]
+	var cursor int64 = -1
+	var wg sync.WaitGroup
+	for _, w := range used {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.expand(s, ctx, &cursor)
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	reply := &ShardExpandReply{Out: used[0].out}
+	var best *expandWorker
+	for _, w := range used {
+		if w.err != nil {
+			return nil, fmt.Errorf("mcheck: shard %d: visited-store probe: %w", s.self, w.err)
+		}
+		reply.Transitions += w.transitions
+		if w.vi >= 0 && (best == nil || w.vi < best.vi || w.vi == best.vi && w.vj < best.vj) {
+			best = w
+		}
+	}
+	if len(used) > 1 {
+		for d := range s.merged {
+			clear(s.merged[d][:cap(s.merged[d])])
+			s.merged[d] = s.merged[d][:0]
+			for _, w := range used {
+				s.merged[d] = append(s.merged[d], w.out[d]...)
+			}
+		}
+		reply.Out = s.merged
+	}
+	if best != nil {
+		id := s.front[best.vi]
+		reply.Violation = &ShardViolation{
+			Ord:        WireOrd{TShard: id.shard(), ParentKey: s.st.key(id), AI: int32(best.vj)},
+			ParentSess: s.self, Parent: uint64(id), Act: toWire(best.vact), Violations: best.viols,
+		}
+	}
+	s.pending = reply.Transitions
+	return reply, nil
+}
+
+// expand is one worker's share of a level: it claims frontier states
+// in increasing order until the cursor passes the end or the context
+// is canceled (polled once per state — cheap next to its expansion,
+// prompt enough that a deadline aborts a deep level mid-flight).
+func (w *expandWorker) expand(s *ShardSession, ctx context.Context, cursor *int64) {
+	w.seen.reset()
+	// Drop the previous level's candidates past the new length too: the
+	// keys they alias would otherwise pin key arrays the store and the
+	// filter have since outgrown.
+	for d := range w.out {
+		clear(w.out[d][:cap(w.out[d])])
+		w.out[d] = w.out[d][:0]
+	}
+	w.transitions, w.vi, w.viols, w.err = 0, -1, nil, nil
+	m := w.m
+	for {
+		i := int(atomic.AddInt64(cursor, 1))
+		if i >= len(s.front) || ctx.Err() != nil {
+			return
+		}
+		id := s.front[i]
+		enc := s.st.key(id)
+		m.restoreKey(enc)
 		dirty := false
-		for j, a := range acts {
+		for j, a := range m.actions() {
+			if s.porBlock >= 0 && a.Block != uint64(s.porBlock) {
+				continue
+			}
 			if dirty {
-				s.m.restoreKey(enc)
+				m.restoreKey(enc)
 			}
 			dirty = true
-			reply.Transitions++
-			if v := s.m.step(a); len(v) > 0 {
-				ord := WireOrd{TShard: id.shard(), ParentKey: append([]uint64(nil), enc...), AI: int32(j)}
-				if reply.Violation == nil || ord.before(reply.Violation.Ord) {
-					reply.Violation = &ShardViolation{
-						Ord: ord, ParentSess: s.self, Parent: uint64(id),
-						Act: toWire(a), Violations: v,
-					}
+			w.transitions++
+			if v := m.step(a); len(v) > 0 {
+				// States are claimed in increasing order, so the
+				// worker's first violation is its least.
+				if w.vi < 0 {
+					w.vi, w.vj, w.vact, w.viols = i, j, a, v
 				}
 				continue
 			}
-			nk := s.m.encodeKey()
-			if s.m.canon != nil {
-				nk, _ = s.m.canon.canonicalize(nk)
+			nk := m.encodeKey()
+			if m.canon != nil {
+				nk, _ = m.canon.canonicalize(nk)
+			}
+			// Self-loop in the (possibly quotiented) state graph: the
+			// successor is the expanding state itself.
+			if equalKey(nk, enc) {
+				continue
 			}
 			h := hashKey(nk)
+			// Dedup before the visited probe: a key this worker already
+			// handled this level never needs a second probe, which
+			// matters once probes can touch sealed runs on disk.
+			ki, fresh := w.seen.add(nk, h)
+			if !fresh {
+				continue
+			}
 			dest := sessionShardOf(h, s.total)
-			if dest == s.self && s.visited[shardOfHash(h)].lookup(nk, h) >= 0 {
-				continue
+			if dest == s.self {
+				ok, err := s.st.contains(shardOfHash(h), nk, h, w.sc)
+				if err != nil {
+					w.err = err
+					return
+				}
+				if ok {
+					continue
+				}
 			}
-			if _, fresh := s.seen.add(nk, h); !fresh {
-				continue
-			}
-			reply.Out[dest] = append(reply.Out[dest], WireCand{
-				Key:  append([]uint64(nil), nk...),
-				Hash: h,
-				Ord: WireOrd{
-					TShard: id.shard(), ParentKey: append([]uint64(nil), enc...), AI: int32(j),
-				},
+			w.out[dest] = append(w.out[dest], WireCand{
+				Key:        w.seen.key(ki),
+				Ord:        WireOrd{TShard: id.shard(), ParentKey: enc, AI: int32(j)},
 				ParentSess: s.self, Parent: uint64(id), Act: toWire(a),
 			})
 		}
 	}
-	return reply, nil
 }
 
 // Absorb folds the level's candidates owned by this session into its
@@ -323,82 +478,187 @@ func (s *ShardSession) Expand() (*ShardExpandReply, error) {
 // frontier slice. seq is the level number: a retry of the last
 // absorbed level (after a coordinator re-dispatched this session)
 // returns the recorded reply without reapplying; anything else out of
-// order is an error.
+// order is an error. Candidates may come from any peer over HTTP, so
+// each one is checked — key width, routing by the key's own hash, a
+// parent in a real session, an action the model can take — before
+// anything is stored: a rejected absorb leaves the session as it was.
 func (s *ShardSession) Absorb(seq int64, cands []WireCand) (*ShardAbsorbReply, error) {
+	if s.st == nil {
+		return nil, s.notOpen()
+	}
 	if seq == s.seq && seq > 0 {
-		return &ShardAbsorbReply{Added: s.lastAdded, Seq: s.seq}, nil
+		return &ShardAbsorbReply{Added: int64(len(s.front)), Seq: s.seq}, nil
 	}
 	if seq != s.seq+1 {
 		return nil, fmt.Errorf("mcheck: shard %d: absorb seq %d, session at %d", s.self, seq, s.seq)
 	}
-	for i := range cands {
-		if len(cands[i].Key) != s.kw || len(cands[i].Ord.ParentKey) != s.kw {
-			return nil, fmt.Errorf("mcheck: shard %d: candidate key width mismatch", s.self)
-		}
-		if sessionShardOf(cands[i].Hash, s.total) != s.self {
-			return nil, fmt.Errorf("mcheck: shard %d: misrouted candidate", s.self)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		si, sj := shardOfHash(cands[i].Hash), shardOfHash(cands[j].Hash)
-		if si != sj {
-			return si < sj
-		}
-		if !equalKey(cands[i].Key, cands[j].Key) {
-			return lessKey(cands[i].Key, cands[j].Key)
-		}
-		return cands[i].Ord.before(cands[j].Ord)
-	})
-	s.front = s.front[:0]
+	hs := s.hashes[:0]
+	var bounds [shardCount + 1]int // bounds[ts+1]: candidates in table shards ≤ ts
 	for i := range cands {
 		c := &cands[i]
-		if i > 0 && cands[i-1].Hash == c.Hash && equalKey(cands[i-1].Key, c.Key) {
-			continue // duplicate; the sort put the least ordinal first
+		if len(c.Key) != s.kw || len(c.Ord.ParentKey) != s.kw {
+			return nil, fmt.Errorf("mcheck: shard %d: candidate key width mismatch", s.self)
 		}
-		ts := shardOfHash(c.Hash)
-		if s.visited[ts].lookup(c.Key, c.Hash) >= 0 {
-			continue
+		h := hashKey(c.Key)
+		if sessionShardOf(h, s.total) != s.self {
+			return nil, fmt.Errorf("mcheck: shard %d: misrouted candidate", s.self)
 		}
-		idx := s.visited[ts].insert(c.Key, c.Hash, edge{})
-		s.ext[ts] = append(s.ext[ts], extEdge{
-			parentSess: int32(c.ParentSess), parent: stateID(c.Parent), act: fromWire(c.Act),
+		if c.ParentSess < 0 || c.ParentSess >= s.total || stateID(c.Parent) == noParent {
+			return nil, fmt.Errorf("mcheck: shard %d: candidate parent %d/%#x out of range", s.self, c.ParentSess, c.Parent)
+		}
+		if a := c.Act; a.Proc < 0 || a.Proc >= s.o.Procs || a.Block >= uint64(s.o.Blocks) ||
+			a.Word < 0 || a.Word >= s.o.Words || a.Kind > ActEvict {
+			return nil, fmt.Errorf("mcheck: shard %d: candidate action %+v outside the model", s.self, a)
+		}
+		hs = append(hs, h)
+		bounds[shardOfHash(h)+1]++
+	}
+	s.hashes = hs
+	// Bucket the candidates by table shard; each shard is then ordered,
+	// probed and filled independently, by the session's workers.
+	for ts := range shardCount {
+		bounds[ts+1] += bounds[ts]
+	}
+	order := slices.Grow(s.order[:0], len(cands))[:len(cands)]
+	next := bounds
+	for i, h := range hs {
+		ts := shardOfHash(h)
+		order[next[ts]] = int32(i)
+		next[ts]++
+	}
+	s.order = order
+	// Sorted by (key, ordinal), the first candidate of each key is its
+	// least-ordinal discoverer; it wins unless the state is already
+	// visited. Every shard is probed before any is filled, so a failed
+	// disk read stores nothing.
+	err := s.eachShard(func(w *expandWorker, ts int) error {
+		b := order[bounds[ts]:bounds[ts+1]]
+		slices.SortFunc(b, func(x, y int32) int {
+			if c := compareKey(cands[x].Key, cands[y].Key); c != 0 {
+				return c
+			}
+			return cands[x].Ord.compare(cands[y].Ord)
 		})
-		s.front = append(s.front, packID(ts, idx))
+		win, prev := b[:0], []uint64(nil)
+		for _, i := range b {
+			if prev != nil && equalKey(prev, cands[i].Key) {
+				continue
+			}
+			prev = cands[i].Key
+			visited, err := s.st.contains(ts, cands[i].Key, hs[i], w.sc)
+			if err != nil {
+				return fmt.Errorf("mcheck: shard %d: visited-store probe: %w", s.self, err)
+			}
+			if !visited {
+				win = append(win, i)
+			}
+		}
+		s.wins[ts] = len(win)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ts := range s.frontStart {
+		s.frontStart[ts] = s.st.count(ts)
+	}
+	s.eachShard(func(_ *expandWorker, ts int) error {
+		for _, i := range order[bounds[ts] : bounds[ts]+s.wins[ts]] {
+			c := &cands[i]
+			s.st.insert(ts, c.Key, hs[i], edge{
+				parent: stateID(c.Parent), psess: int32(c.ParentSess), act: fromWire(c.Act),
+			})
+		}
+		return nil
+	})
+	s.front = s.front[:0]
+	for ts, n := range s.wins {
+		for k := range n {
+			s.front = append(s.front, packID(ts, s.frontStart[ts]+k))
+		}
+	}
+	if s.o.stateHook != nil {
+		for _, id := range s.front {
+			s.o.stateHook(s.st.key(id))
+		}
 	}
 	s.seq = seq
-	s.lastAdded = int64(len(s.front))
-	if s.ckptDir != "" {
-		if err := s.saveSession(); err != nil {
+	s.transitions += s.pending
+	s.pending = 0
+	// Seal over-budget shards now that the frontier boundary is known,
+	// then checkpoint the level; without a checkpoint, compacted-away
+	// runs are dropped at once.
+	if err := s.st.sealOver(s.frontStart); err != nil {
+		return nil, err
+	}
+	if s.ck != nil {
+		if err := s.ck.save(s); err != nil {
 			return nil, err
 		}
+	} else {
+		s.st.dropObsolete()
 	}
-	return &ShardAbsorbReply{Added: s.lastAdded, Seq: s.seq}, nil
+	return &ShardAbsorbReply{Added: int64(len(s.front)), Seq: seq}, nil
+}
+
+// eachShard runs fn once per visited-table shard, spread over the
+// session's workers (each shard's store and scratch are touched by one
+// goroutine only), and returns the first error.
+func (s *ShardSession) eachShard(fn func(w *expandWorker, ts int) error) error {
+	errs := make([]error, len(s.workers))
+	var wg sync.WaitGroup
+	for g, w := range s.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ts := g; ts < shardCount && errs[g] == nil; ts += len(s.workers) {
+				errs[g] = fn(w, ts)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // TraceHop resolves one owned state to its discovering action and
 // parent, for cross-shard counterexample reconstruction.
 func (s *ShardSession) TraceHop(id uint64) (*ShardHopReply, error) {
+	if s.st == nil {
+		return nil, s.notOpen()
+	}
 	sid := stateID(id)
-	ts, idx := sid.shard(), sid.index()
-	if ts < 0 || ts >= shardCount || idx >= len(s.ext[ts]) {
+	if sid.shard() >= shardCount || sid.index() >= s.st.count(sid.shard()) {
 		return nil, fmt.Errorf("mcheck: shard %d: unknown state %#x", s.self, id)
 	}
-	e := s.ext[ts][idx]
+	e, err := s.st.edgeOf(sid, s.workers[0].sc)
+	if err != nil {
+		return nil, err
+	}
 	return &ShardHopReply{
-		Root: e.parentSess < 0, Act: toWire(e.act),
-		ParentSess: int(e.parentSess), Parent: uint64(e.parent),
+		Root: e.parent == noParent, Act: toWire(e.act),
+		ParentSess: int(e.psess), Parent: uint64(e.parent),
 	}, nil
 }
 
-// Close implements ShardPeer; an in-process session has nothing to
-// release.
-func (s *ShardSession) Close() error { return nil }
+// Close releases the session's visited store: its open run files and
+// the temporary spill directory, if it made one.
+func (s *ShardSession) Close() error {
+	if s.st != nil {
+		s.st.close()
+	}
+	if s.tmp != "" {
+		os.RemoveAll(s.tmp)
+		s.tmp = ""
+	}
+	return nil
+}
 
 // RunSharded explores opts across the given session shards and merges
 // the per-level results into the Result a single-process Run of the
 // same options would produce (timing fields aside). The peers must
 // have been created for this configuration with matching (self,
-// total) indices; RunSharded calls Open on each.
+// total) indices; RunSharded calls Open on each, and continues from
+// the level they report when they resumed from checkpoints.
 func RunSharded(opts Options, peers []ShardPeer) (*Result, error) {
 	o := opts.withDefaults()
 	if err := validate(o); err != nil {
@@ -410,7 +670,17 @@ func RunSharded(opts Options, peers []ShardPeer) (*Result, error) {
 	if len(peers) < 1 {
 		return nil, fmt.Errorf("mcheck: no shard peers")
 	}
+	res, _, err := explore(o, peers)
+	return res, err
+}
 
+// explore is the kernel's level loop. Besides the Result it returns
+// the winning violation, whose ordinal POR compares across blocks.
+func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
+	ctx := o.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	start := time.Now()
 	res := &Result{
 		Protocol: o.Protocol.Name(),
@@ -425,11 +695,12 @@ func RunSharded(opts Options, peers []ShardPeer) (*Result, error) {
 		return res
 	}
 
+	var seq, frontier int64
 	rooted := false
 	for i, p := range peers {
 		reply, err := p.Open()
 		if err != nil {
-			return nil, fmt.Errorf("mcheck: shard %d open: %w", i, err)
+			return nil, nil, fmt.Errorf("mcheck: shard %d open: %w", i, err)
 		}
 		if i == 0 {
 			if reply.Workers > 0 {
@@ -438,50 +709,74 @@ func RunSharded(opts Options, peers []ShardPeer) (*Result, error) {
 			if len(reply.RootViolations) > 0 {
 				res.Counterexample = &Counterexample{Violations: reply.RootViolations}
 				res.States = 1
-				return finalize(), nil
+				return finalize(), nil, nil
 			}
+			seq = reply.Seq
+		} else if reply.Seq != seq {
+			return nil, nil, fmt.Errorf("mcheck: shard %d opened at level %d, shard 0 at %d", i, reply.Seq, seq)
 		}
-		if reply.Root {
-			rooted = true
-		}
+		rooted = rooted || reply.Root
+		res.States += reply.States
+		res.Transitions += reply.Transitions
+		frontier += reply.Frontier
 	}
 	if !rooted {
-		return nil, fmt.Errorf("mcheck: no shard owns the initial state")
+		return nil, nil, fmt.Errorf("mcheck: no shard owns the initial state")
 	}
-	res.States = 1
+	res.DepthReached = int(seq)
+	// A level that reached MaxStates ends the run; a resume past it
+	// explores nothing more.
+	res.Truncated = seq > 0 && res.States >= int64(o.MaxStates)
+	statesAtStart := res.States
 
-	frontier := int64(1)
-	for depth := 1; depth <= o.Depth && frontier > 0; depth++ {
-		expands := make([]*ShardExpandReply, len(peers))
-		errs := make([]error, len(peers))
+	var viol *ShardViolation
+	expands := make([]*ShardExpandReply, len(peers))
+	errs := make([]error, len(peers))
+	inbox := make([][]WireCand, len(peers))
+	for depth := int(seq) + 1; depth <= o.Depth && frontier > 0 && !res.Truncated; depth++ {
+		canceled := func() error {
+			return fmt.Errorf("mcheck: exploration canceled at depth %d after %d states: %w",
+				depth, res.States, ctx.Err())
+		}
+		if ctx.Err() != nil {
+			return nil, nil, canceled()
+		}
 		var wg sync.WaitGroup
 		for i, p := range peers {
 			wg.Add(1)
-			go func(i int, p ShardPeer) {
+			go func() {
 				defer wg.Done()
 				expands[i], errs[i] = p.Expand()
-			}(i, p)
+			}()
 		}
 		wg.Wait()
+		if ctx.Err() != nil {
+			return nil, nil, canceled()
+		}
 		for i, err := range errs {
+			if err == nil && len(expands[i].Out) != len(peers) {
+				err = fmt.Errorf("reply routes to %d shards, want %d", len(expands[i].Out), len(peers))
+			}
 			if err != nil {
-				return nil, fmt.Errorf("mcheck: shard %d expand at depth %d: %w", i, depth, err)
+				return nil, nil, fmt.Errorf("mcheck: shard %d expand at depth %d: %w", i, depth, err)
 			}
 		}
-		var viol *ShardViolation
 		for _, er := range expands {
 			res.Transitions += er.Transitions
-			if er.Violation != nil && (viol == nil || er.Violation.Ord.before(viol.Ord)) {
-				viol = er.Violation
+			if v := er.Violation; v != nil && (viol == nil || v.Ord.compare(viol.Ord) < 0) {
+				viol = v
 			}
 		}
 		if viol != nil {
 			trace, err := rebuildShardTrace(peers, viol)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			viols := viol.Violations
 			if o.Symmetry {
+				// Stored actions live in canonical frames; rewrite them
+				// into one executable run and recompute the violations so
+				// their messages name the actual processor indices.
 				dtrace, dviols := decanonicalizeTrace(o, trace)
 				trace = dtrace
 				if len(dviols) > 0 {
@@ -495,33 +790,34 @@ func RunSharded(opts Options, peers []ShardPeer) (*Result, error) {
 
 		frontier = 0
 		for d, p := range peers {
-			var in []WireCand
-			for _, er := range expands {
-				in = append(in, er.Out[d]...)
+			in := expands[0].Out[d]
+			if len(peers) > 1 {
+				inbox[d] = inbox[d][:0]
+				for _, er := range expands {
+					inbox[d] = append(inbox[d], er.Out[d]...)
+				}
+				in = inbox[d]
 			}
 			reply, err := p.Absorb(int64(depth), in)
 			if err != nil {
-				return nil, fmt.Errorf("mcheck: shard %d absorb at depth %d: %w", d, depth, err)
+				return nil, nil, fmt.Errorf("mcheck: shard %d absorb at depth %d: %w", d, depth, err)
 			}
 			frontier += reply.Added
 		}
 		res.States += frontier
 		res.DepthReached = depth
+		res.Truncated = res.States >= int64(o.MaxStates)
 		if o.Progress != nil {
 			info := ProgressInfo{Depth: depth, States: res.States, Transitions: res.Transitions}
 			if s := time.Since(start).Seconds(); s > 0 {
-				info.StatesPerSec = float64(res.States) / s
+				info.StatesPerSec = float64(res.States-statesAtStart) / s
 			}
 			o.Progress(info)
-		}
-		if res.States >= int64(o.MaxStates) {
-			res.Truncated = true
-			break
 		}
 	}
 
 	res.Exhausted = res.Counterexample == nil && !res.Truncated && frontier == 0
-	return finalize(), nil
+	return finalize(), viol, nil
 }
 
 // rebuildShardTrace follows parent pointers from the violating

@@ -35,8 +35,9 @@ func normalizeTiming(r *Result) {
 
 // TestShardedEquivalence checks that sharded exploration merges to the
 // byte-identical Result JSON of a single-process run, for several
-// shard counts, protocols, symmetry modes, and a seeded mutant whose
-// counterexample must survive the cross-shard trace rebuild.
+// shard counts, one and two workers per session, protocols, symmetry
+// modes, and a seeded mutant whose counterexample must survive the
+// cross-shard trace rebuild.
 func TestShardedEquivalence(t *testing.T) {
 	cases := []struct {
 		proto, inject string
@@ -80,17 +81,24 @@ func TestShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, n := range []int{1, 2, 3, 5} {
-				so := o
-				so.Protocol = mk()
-				sharded := runShardedInProc(t, so, n)
-				normalizeTiming(sharded)
-				got, err := json.Marshal(sharded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(got) != string(want) {
-					t.Fatalf("shards=%d: result differs\n got %s\nwant %s", n, got, want)
+			for _, workers := range []int{1, 2} {
+				for _, n := range []int{1, 2, 3, 5} {
+					so := o
+					so.Protocol = mk()
+					so.Workers = workers
+					sharded := runShardedInProc(t, so, n)
+					normalizeTiming(sharded)
+					if sharded.Workers != workers {
+						t.Fatalf("workers=%d shards=%d: result reports %d workers", workers, n, sharded.Workers)
+					}
+					sharded.Workers = single.Workers
+					got, err := json.Marshal(sharded)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(got) != string(want) {
+						t.Fatalf("workers=%d shards=%d: result differs\n got %s\nwant %s", workers, n, got, want)
+					}
 				}
 			}
 		})

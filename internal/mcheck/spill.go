@@ -184,6 +184,15 @@ func (st *spillStore) close() {
 // count returns shard s's total entry count (sealed + live).
 func (st *spillStore) count(s int) int { return st.shards[s].sealed + st.shards[s].live.n }
 
+// states returns the number of visited states across all shards.
+func (st *spillStore) states() int64 {
+	var n int64
+	for s := range st.shards {
+		n += int64(st.count(s))
+	}
+	return n
+}
+
 // key returns the key of id, which must be live (callers only read
 // frontier keys, and frontiers are never sealed).
 func (st *spillStore) key(id stateID) []uint64 {

@@ -10,7 +10,7 @@ import "math/bits"
 // string conversion plus two FNV passes per explored transition.
 
 // shardCount fixes the number of hash shards of the visited set; the
-// per-level merge parallelizes over shards. It must stay a power of
+// per-level absorb parallelizes over shards. It must stay a power of
 // two ≤ 256 because shardOfHash takes the hash's top bits.
 const shardCount = 64
 
@@ -27,9 +27,12 @@ func (id stateID) shard() int { return int(id >> 32) }
 func (id stateID) index() int { return int(uint32(id)) }
 
 // edge is the parent pointer of a visited state, for counterexample
-// trace reconstruction.
+// trace reconstruction: the parent's session shard and state ID there,
+// and the action that discovered the state. The root's parent is
+// noParent.
 type edge struct {
 	parent stateID
+	psess  int32
 	act    Action
 }
 
@@ -72,13 +75,19 @@ func equalKey(a, b []uint64) bool {
 
 // lessKey is lexicographic word-wise comparison; it orders canonical
 // frontier keys deterministically.
-func lessKey(a, b []uint64) bool {
+func lessKey(a, b []uint64) bool { return compareKey(a, b) < 0 }
+
+// compareKey is lessKey's three-way form.
+func compareKey(a, b []uint64) int {
 	for i, w := range a {
 		if w != b[i] {
-			return w < b[i]
+			if w < b[i] {
+				return -1
+			}
+			return 1
 		}
 	}
-	return false
+	return 0
 }
 
 // shardTable is one shard of the visited set: an open-addressing hash
@@ -152,16 +161,22 @@ func (t *shardTable) insert(key []uint64, h uint64, e edge) int {
 
 // keySet is the per-worker intra-level duplicate filter: the same
 // open-addressing scheme without parent edges. Its arena doubles as
-// the worker's candidate-key storage — a candidate references its key
-// by entry index, and the merge phase reads it from here.
+// the worker's candidate-key storage: a mailed candidate's key aliases
+// it until the level's absorb has copied the winners into the store.
+// The arena is a list of fixed chunks, so keys never move: a growing
+// flat slice would leave every outgrown copy pinned by the candidates
+// that alias it.
 type keySet struct {
 	kw     int
 	mask   uint64
 	slots  []uint32
-	keys   []uint64
+	chunks [][]uint64 // keySetChunk keys each, kept across levels
 	hashes []uint64
 	n      int
 }
+
+// keySetChunk is the number of keys per arena chunk (a power of two).
+const keySetChunk = 512
 
 func newKeySet(kw int) *keySet {
 	s := &keySet{kw: kw, slots: make([]uint32, 256), mask: 255}
@@ -171,12 +186,14 @@ func newKeySet(kw int) *keySet {
 // reset empties the set for the next BFS level, keeping its storage.
 func (s *keySet) reset() {
 	clear(s.slots)
-	s.keys = s.keys[:0]
 	s.hashes = s.hashes[:0]
 	s.n = 0
 }
 
-func (s *keySet) key(i int) []uint64 { return s.keys[i*s.kw : (i+1)*s.kw] }
+func (s *keySet) key(i int) []uint64 {
+	o := i % keySetChunk * s.kw
+	return s.chunks[i/keySetChunk][o : o+s.kw : o+s.kw]
+}
 
 // add inserts key unless present. It returns the entry index and
 // whether the key was newly added.
@@ -209,8 +226,11 @@ func (s *keySet) add(key []uint64, h uint64) (int, bool) {
 		}
 	}
 	i := s.n
+	if i/keySetChunk == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]uint64, keySetChunk*s.kw))
+	}
 	s.n++
-	s.keys = append(s.keys, key...)
+	copy(s.key(i), key)
 	s.hashes = append(s.hashes, h)
 	s.slots[pos] = uint32(i + 1)
 	return i, true

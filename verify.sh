@@ -45,7 +45,7 @@ echo "== go test"
 go test ./...
 
 echo "== go test -race (mcheck + sim smoke)"
-go test -race -short -run 'TestSmokeAllProtocols|TestDeterministicAcrossWorkers|TestSymmetryEquivalence|TestDeterministicWorkersMutant|TestPOREquivalence|TestPORMutant|TestShardedEquivalence|TestShardedTruncation|TestShardedRejectsPOR|TestSpillEquivalence|TestPORSpillBudget|TestKillResumeByteIdentical|TestKillResumePOR|TestShardSessionCheckpointResume' ./internal/mcheck/
+go test -race -short -run 'TestSmokeAllProtocols|TestDeterministicAcrossWorkers|TestSymmetryEquivalence|TestDeterministicWorkersMutant|TestPOREquivalence|TestPORMutant|TestShardedEquivalence|TestShardedTruncation|TestShardedRejectsPOR|TestSpillEquivalence|TestPORSpillBudget|TestKillResumeByteIdentical|TestKillResumePOR|TestShardSessionCheckpointResume|TestShardedHonorsCancel' ./internal/mcheck/
 go test -race -short ./internal/sim/ ./internal/trace/ ./internal/syncprim/
 
 echo "== go test -race (runner pool, parallel sweep executor, bus, scheduler queue)"
@@ -75,7 +75,7 @@ go run ./cmd/tables -check-transition-goldens
 echo "== fuzz targets (seed-corpus mode: f.Add seeds + testdata/fuzz)"
 go test -run 'FuzzTraceBinaryRoundTrip|FuzzTraceTextDecode' ./internal/trace/
 go test -run 'FuzzWorkloadReplay' ./internal/workload/
-go test -run 'FuzzRunFileDecode' ./internal/mcheck/
+go test -run 'FuzzRunFileDecode|FuzzShardAbsorb' ./internal/mcheck/
 
 echo "== workload digest golden (13 protocols x 11 generator configs) + blocking-adapter differential"
 go test -run 'TestProgramDigestsGolden|TestDirectMatchesShim|TestBuildMatchesProgramsOnTwoTier' ./internal/workload/
