@@ -157,7 +157,9 @@ var mixProtocols = []string{"bitar", "illinois", "goodman", "berkeley"}
 // The heavy (overload) mix is all simulations with a unique seed per
 // request: every request then needs its own execution slot — the
 // single-flight dedup cannot absorb the burst — so the admission gate
-// itself is what gets exercised.
+// itself is what gets exercised. Each is a checked p16×4000 run, about
+// 45 ms of one worker on a 2-vCPU VM, so the overload rate is several
+// times what a small pool can serve.
 func request(i int, heavy bool) (path string, body map[string]any) {
 	// The simheavy profile is all simulation, sized so the simulator
 	// core — not the result cache, dedup, or coherence checker —
@@ -178,7 +180,8 @@ func request(i int, heavy bool) (path string, body map[string]any) {
 	if heavy {
 		return "/v1/simulate", map[string]any{
 			"protocol": mixProtocols[i%len(mixProtocols)],
-			"ops":      1_000,
+			"procs":    16,
+			"ops":      4_000,
 			"seed":     1 + i,
 		}
 	}

@@ -152,6 +152,11 @@ type Cache struct {
 	// victim's data before the next PrepareFill.
 	victimBuf []uint64
 
+	// journal, when attached, receives the block of every write to
+	// what the coherence invariants read: a valid line's tag, state or
+	// data (see SetJournal).
+	journal *addr.Journal
+
 	BWReg  BusyWaitRegister
 	Counts stats.Counters
 }
@@ -183,6 +188,20 @@ func (c *Cache) bump(h **int64, name string) {
 		*h = c.Counts.Handle(name)
 	}
 	**h++
+}
+
+// SetJournal attaches j (nil detaches): from now on every write to a
+// line's tag, state or data records the line's block in j. Unit-dirty
+// bits, replacement bookkeeping, the busy-wait register and
+// PrepareFill's reuse of a tag-only invalid frame are not recorded —
+// no coherence invariant reads them.
+func (c *Cache) SetJournal(j *addr.Journal) { c.journal = j }
+
+// note records block b in the attached journal, if any.
+func (c *Cache) note(b addr.Block) {
+	if c.journal != nil {
+		c.journal.Add(b)
+	}
 }
 
 // ID implements bus.Snooper.
@@ -243,17 +262,17 @@ func (c *Cache) State(b addr.Block) protocol.State {
 	return protocol.Invalid
 }
 
-// Blocks returns every valid block and its state, for invariant checks.
-func (c *Cache) Blocks() map[addr.Block]protocol.State {
-	out := make(map[addr.Block]protocol.State)
+// AppendBlocks appends every block held valid here to dst, in frame
+// order, and returns the extended slice.
+func (c *Cache) AppendBlocks(dst []addr.Block) []addr.Block {
 	for _, set := range c.sets {
 		for i := range set {
 			if set[i].valid() {
-				out[set[i].tag] = set[i].state
+				dst = append(dst, set[i].tag)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Data returns a copy of block b's cached data, or nil if not valid.
@@ -314,6 +333,7 @@ func (c *Cache) ProbeWord(op protocol.Op, a addr.Addr, v uint64) (protocol.ProcR
 	}
 	off := c.geom.Offset(a)
 	if op.IsWrite() {
+		c.note(ln.tag)
 		ln.data[off] = v
 		ln.unitDirty[c.geom.UnitOf(a)] = true
 		return r, v
@@ -347,6 +367,9 @@ func (c *Cache) probe(op protocol.Op, a addr.Addr, count bool) (protocol.ProcRes
 			if op.IsWrite() && !c.isDirty(st) && c.isDirty(r.NewState) {
 				c.bump(&c.dirWHCH, "dir.write-hit-clean")
 			}
+		}
+		if ln.state != r.NewState {
+			c.note(b)
 		}
 		ln.state = r.NewState
 		c.touch(ln)
@@ -457,6 +480,7 @@ func (c *Cache) EvictWords(b addr.Block) int {
 // Drop invalidates block b (post-eviction, or I/O invalidation).
 func (c *Cache) Drop(b addr.Block) {
 	if ln := c.find(b, true); ln != nil {
+		c.note(b)
 		c.idxDel(ln.tag)
 		ln.hasTag = false
 		ln.state = protocol.Invalid
@@ -481,6 +505,7 @@ func (c *Cache) Install(b addr.Block, data []uint64, st protocol.State) {
 			panic(fmt.Sprintf("cache %d: Install(%d) with no free frame; PrepareFill not honored", c.id, b))
 		}
 	}
+	c.note(b)
 	ln.hasTag = true
 	ln.tag = b
 	c.idx.put(b, ln)
@@ -551,6 +576,9 @@ func (c *Cache) Restore(lines []LineSnapshot) {
 	for _, set := range c.sets {
 		for i := range set {
 			ln := &set[i]
+			if ln.hasTag {
+				c.note(ln.tag)
+			}
 			ln.hasTag = false
 			ln.tag = 0
 			ln.state = protocol.Invalid
@@ -573,6 +601,7 @@ func (c *Cache) Restore(lines []LineSnapshot) {
 			panic(fmt.Sprintf("cache %d: Restore overflows set %d", c.id, c.setIndex(snap.Block)))
 		}
 		c.tick++
+		c.note(snap.Block)
 		ln.hasTag = true
 		ln.tag = snap.Block
 		c.idx.put(snap.Block, ln)
@@ -615,6 +644,7 @@ func (c *Cache) SetState(b addr.Block, st protocol.State) {
 	if ln == nil {
 		panic(fmt.Sprintf("cache %d: SetState on absent block %d", c.id, b))
 	}
+	c.note(b)
 	ln.state = st
 	if st == protocol.Invalid && !c.snoopsInvalid {
 		// Keep the tag only if invalid lines snoop.
@@ -641,6 +671,7 @@ func (c *Cache) WriteWord(a addr.Addr, v uint64) bool {
 	if ln == nil {
 		return false
 	}
+	c.note(ln.tag)
 	ln.data[c.geom.Offset(a)] = v
 	ln.unitDirty[c.geom.UnitOf(a)] = true
 	return true
@@ -690,6 +721,7 @@ func (c *Cache) Snoop(t *bus.Transaction) {
 	if ln == nil {
 		return
 	}
+	c.note(t.Block)
 	c.bump(&c.tagmatchH, "snoop.tagmatch")
 
 	var res protocol.SnoopResult

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -246,9 +247,11 @@ func TestBlocksSnapshot(t *testing.T) {
 	c, _ := newCache(t, 0, fullAssoc())
 	c.Install(1, nil, core.RSC)
 	c.Install(9, nil, core.WSD)
-	m := c.Blocks()
-	if len(m) != 2 || m[1] != core.RSC || m[9] != core.WSD {
-		t.Errorf("Blocks() = %v", m)
+	c.Install(4, nil, core.RSC)
+	c.SetState(4, core.I) // invalid lines are not held
+	got := c.AppendBlocks([]addr.Block{7})
+	if !slices.Equal(got, []addr.Block{7, 1, 9}) {
+		t.Errorf("AppendBlocks([7]) = %v, want [7 1 9]", got)
 	}
 }
 

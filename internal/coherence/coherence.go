@@ -12,17 +12,19 @@
 // states and memory lock tags (Section E.3).
 //
 // The invariants are exposed as per-invariant predicates over the raw
-// (protocol, caches, memory) surface so that both the online checker
-// (sim.System's OnTxn hook, via Check) and the bounded model checker
-// (internal/mcheck, via CheckAll on its own machine) share one
-// implementation. CheckAll is the hot path of the model checker — it
-// runs after every explored transition — so it walks the caches once
-// per block and inspects data through non-copying views.
+// (protocol, caches, memory) surface so that the online checker
+// (Online, run from sim.System's OnTxn hook), the full sweep (Check,
+// on a quiesced system) and the bounded model checker
+// (internal/mcheck, via a Checker on its own machine) share one
+// implementation. The model checker runs the suite after every
+// explored transition and the online checker after every bus
+// transaction, so a Checker walks the caches once per block and
+// inspects data through non-copying views.
 package coherence
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cachesync/internal/addr"
 	"cachesync/internal/cache"
@@ -34,18 +36,17 @@ import (
 // HeldBlocks returns the sorted union of blocks any cache currently
 // holds valid.
 func HeldBlocks(caches []*cache.Cache) []addr.Block {
-	seen := map[addr.Block]bool{}
+	return heldBlocks(nil, caches)
+}
+
+// heldBlocks is HeldBlocks built in buf's storage.
+func heldBlocks(buf []addr.Block, caches []*cache.Cache) []addr.Block {
+	buf = buf[:0]
 	for _, c := range caches {
-		for b := range c.Blocks() {
-			seen[b] = true
-		}
+		buf = c.AppendBlocks(buf)
 	}
-	out := make([]addr.Block, 0, len(seen))
-	for b := range seen {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }
 
 // blockHolders is the per-block view of the caches, gathered once and
@@ -215,9 +216,10 @@ func CheckAll(p protocol.Protocol, caches []*cache.Cache, mem *memory.Memory, bl
 // each exploration worker holds one Checker for its whole run. A
 // Checker is not safe for concurrent use.
 type Checker struct {
-	p protocol.Protocol
-	f protocol.Features
-	h blockHolders
+	p    protocol.Protocol
+	f    protocol.Features
+	h    blockHolders
+	held []addr.Block // block list of a nil-blocks Check
 }
 
 // NewChecker builds a Checker for p.
@@ -230,24 +232,81 @@ func NewChecker(p protocol.Protocol) *Checker {
 // state is coherent.
 func (ck *Checker) Check(caches []*cache.Cache, mem *memory.Memory, blocks []addr.Block) []string {
 	if blocks == nil {
-		blocks = HeldBlocks(caches)
+		ck.held = heldBlocks(ck.held, caches)
+		blocks = ck.held
 	}
 	var out []string
 	for _, b := range blocks {
 		ck.h.gather(caches, b)
-		out = serializationViolations(ck.p, &ck.h, b, out)
-		out = singleSourceViolations(ck.p, &ck.f, &ck.h, b, out)
-		out = latestVersionViolations(ck.p, &ck.f, &ck.h, mem, b, out)
-		out = lockMutexViolations(ck.p, &ck.h, mem, b, out)
+		out = ck.violations(mem, b, out)
 	}
 	return out
 }
 
+// violations runs every predicate over block b, whose holders are
+// already gathered into ck.h, and appends what they report to out.
+func (ck *Checker) violations(mem *memory.Memory, b addr.Block, out []string) []string {
+	out = serializationViolations(ck.p, &ck.h, b, out)
+	out = singleSourceViolations(ck.p, &ck.f, &ck.h, b, out)
+	out = latestVersionViolations(ck.p, &ck.f, &ck.h, mem, b, out)
+	return lockMutexViolations(ck.p, &ck.h, mem, b, out)
+}
+
 // Check validates every block any cache currently holds and returns a
-// list of violations (empty when coherent). Run post-quiescence or,
-// via sim.System's OnTxn hook, after every bus transaction.
+// list of violations (empty when coherent): the full sweep, run on a
+// quiesced system and as the reference Online is tested against.
 func Check(s *sim.System) []string {
 	return CheckAll(s.Protocol(), s.Caches, s.Mem, nil)
+}
+
+// Online is the incremental form of Check for one run of one system,
+// built to run after every bus transaction. It attaches a journal to
+// every cache and to memory, which record the block of each write to
+// what the invariants read, and each Check validates only the
+// journaled blocks some cache still holds valid, in ascending order.
+//
+// Over a run, the violations Check reports for the first time are
+// those the full sweep would report for the first time, at the same
+// call and in the same order. A block's violations depend only on its
+// holders' IDs, states and data, its memory words and its lock tag. A
+// block missing from the journal has none of these changed since the
+// previous call, so the full sweep would repeat for it only what was
+// already reported. The journal is seeded with every block held when
+// Online is built, so the first call covers those too.
+type Online struct {
+	caches  []*cache.Cache
+	mem     *memory.Memory
+	ck      *Checker
+	journal addr.Journal
+}
+
+// NewOnline builds the online checker for s and attaches its journal
+// to s's caches and memory.
+func NewOnline(s *sim.System) *Online {
+	o := &Online{caches: s.Caches, mem: s.Mem, ck: NewChecker(s.Protocol())}
+	for _, b := range HeldBlocks(o.caches) {
+		o.journal.Add(b)
+	}
+	for _, c := range o.caches {
+		c.SetJournal(&o.journal)
+	}
+	o.mem.SetJournal(&o.journal)
+	return o
+}
+
+// Check validates every block journaled since the previous call that
+// some cache holds valid, empties the journal and returns the
+// violations (nil when coherent).
+func (o *Online) Check() []string {
+	var out []string
+	for _, b := range o.journal.Sorted() {
+		o.ck.h.gather(o.caches, b)
+		if len(o.ck.h.ids) > 0 {
+			out = o.ck.violations(o.mem, b, out)
+		}
+	}
+	o.journal.Reset()
+	return out
 }
 
 func equal(a, b []uint64) bool {

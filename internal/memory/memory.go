@@ -37,6 +37,10 @@ type Memory struct {
 	// (Censier-Feautrier); broadcast protocols leave it empty.
 	Dir *Directory
 
+	// journal, when attached, receives the block of every write to
+	// what the coherence invariants read: data words and lock tags.
+	journal *addr.Journal
+
 	Counts stats.Counters
 	// Cached stats handles for the per-snoop counters, resolved on
 	// first use (see stats.Counters.Handle).
@@ -63,6 +67,20 @@ func New(g addr.Geometry) *Memory {
 	}
 }
 
+// SetJournal attaches j (nil detaches): from now on WriteBlock,
+// WriteWord and SetLockTag record their block in j. Respond writes
+// through the first two; its update of a tag's Waiter bit, the source
+// bits and the directory are not recorded — no coherence invariant
+// reads them.
+func (m *Memory) SetJournal(j *addr.Journal) { m.journal = j }
+
+// note records block b in the attached journal, if any.
+func (m *Memory) note(b addr.Block) {
+	if m.journal != nil {
+		m.journal.Add(b)
+	}
+}
+
 // Geometry returns the memory geometry.
 func (m *Memory) Geometry() addr.Geometry { return m.geom }
 
@@ -86,6 +104,7 @@ func (m *Memory) BlockView(b addr.Block) []uint64 {
 
 // WriteBlock stores a whole block (a flush/write-back).
 func (m *Memory) WriteBlock(b addr.Block, words []uint64) {
+	m.note(b)
 	copy(m.block(b), words)
 }
 
@@ -96,7 +115,9 @@ func (m *Memory) ReadWord(a addr.Addr) uint64 {
 
 // WriteWord stores one word (a write-through).
 func (m *Memory) WriteWord(a addr.Addr, v uint64) {
-	m.block(m.geom.BlockOf(a))[m.geom.Offset(a)] = v
+	b := m.geom.BlockOf(a)
+	m.note(b)
+	m.block(b)[m.geom.Offset(a)] = v
 }
 
 // SetSource records whether memory is the source for block b
@@ -114,6 +135,7 @@ func (m *Memory) IsSource(b addr.Block) bool { return !m.notSource[b] }
 
 // SetLockTag installs or clears the memory lock tag for block b.
 func (m *Memory) SetLockTag(b addr.Block, t LockTag) {
+	m.note(b)
 	if t.Locked {
 		m.lockTags[b] = t
 	} else {

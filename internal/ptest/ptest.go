@@ -57,13 +57,14 @@ func CheckInvariants(t *testing.T, s *sim.System) {
 	}
 }
 
-// AttachOnlineChecker wires the coherence checker to run after every
-// bus transaction; violations fail the test at the moment they
+// AttachOnlineChecker wires the online coherence checker to run after
+// every bus transaction; violations fail the test at the moment they
 // appear, not just at quiescence.
 func AttachOnlineChecker(t *testing.T, s *sim.System) {
 	t.Helper()
+	online := coherence.NewOnline(s)
 	s.OnTxn = func() {
-		for _, v := range coherence.Check(s) {
+		for _, v := range online.Check() {
 			t.Errorf("online (%s, cycle %d): %s", s.Protocol().Name(), s.Clock(), v)
 		}
 	}

@@ -492,23 +492,24 @@ type SimulateResponse struct {
 	Output string `json:"output"`
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+// simulateConfig decodes, normalizes and validates a /v1/simulate
+// request body; an error is the caller's fault.
+func simulateConfig(r *http.Request) (simrun.Config, error) {
 	var cfg simrun.Config
 	if err := decodeBody(r, &cfg); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
-		return
+		return cfg, err
 	}
 	cfg = cfg.Normalize()
 	if cfg.TraceFile != "" || cfg.Workload == "trace" {
 		// Network callers must not name server-side files.
-		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": "trace workloads are CLI-only"}, false)
-		return
+		return cfg, errors.New("trace workloads are CLI-only")
 	}
-	if cfg.LogN > 10_000 {
-		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": "log must be <= 10000"}, false)
-		return
-	}
-	if err := cfg.Validate(); err != nil {
+	return cfg, cfg.Validate()
+}
+
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
+	cfg, err := simulateConfig(r)
+	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
 		return
 	}

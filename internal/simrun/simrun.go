@@ -128,6 +128,15 @@ func (c Config) Validate() error {
 	if c.Procs < 1 || c.Procs > 64 {
 		return fmt.Errorf("simrun: procs %d out of range [1,64]", c.Procs)
 	}
+	if c.Ways < 1 || c.Ways > 4096 {
+		return fmt.Errorf("simrun: ways %d out of range [1,4096]", c.Ways)
+	}
+	if !powerOfTwo(c.BlockWords) || c.BlockWords > 64 {
+		return fmt.Errorf("simrun: block %d words is not a power of two in [1,64]", c.BlockWords)
+	}
+	if c.UnitWords != 0 && (!powerOfTwo(c.UnitWords) || c.UnitWords > 64) {
+		return fmt.Errorf("simrun: unit %d words is neither 0 nor a power of two in [1,64]", c.UnitWords)
+	}
 	if c.Buses < 1 || c.Buses > 2 {
 		return fmt.Errorf("simrun: buses must be 1 or 2, got %d", c.Buses)
 	}
@@ -155,7 +164,28 @@ func (c Config) Validate() error {
 	if c.Iters < 0 || c.Iters > 1_000_000 {
 		return fmt.Errorf("simrun: iters %d out of range", c.Iters)
 	}
+	if c.Hold < 0 || c.Hold > 1_000_000 {
+		return fmt.Errorf("simrun: hold %d out of range [0,1000000]", c.Hold)
+	}
+	if c.LogN < 0 || c.LogN > 10_000 {
+		return fmt.Errorf("simrun: log %d out of range [0,10000]", c.LogN)
+	}
+	if _, ok := parseScheme(c.Scheme); c.Scheme != "" && !ok {
+		return fmt.Errorf("simrun: unknown scheme %q", c.Scheme)
+	}
 	return nil
+}
+
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
+
+// parseScheme returns the locking scheme named name.
+func parseScheme(name string) (syncprim.Scheme, bool) {
+	for s := syncprim.CacheLock; s <= syncprim.TASMemory; s++ {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	return 0, false
 }
 
 // Result is one completed simulation.
@@ -296,12 +326,8 @@ func RunWithHooks(ctx context.Context, cfg Config, h Hooks) (Result, error) {
 		return Result{}, err
 	}
 	scheme, serr := cachesync.BestScheme(cfg.Protocol)
-	if serr == nil && cfg.Scheme != "" {
-		for s := syncprim.CacheLock; s <= syncprim.TASMemory; s++ {
-			if s.String() == cfg.Scheme {
-				scheme = s
-			}
-		}
+	if s, ok := parseScheme(cfg.Scheme); serr == nil && ok {
+		scheme = s
 	}
 	progs, err := buildPrograms(cfg, workload.Layout{G: sys.Geometry()}, scheme)
 	if err != nil {
@@ -317,9 +343,13 @@ func RunWithHooks(ctx context.Context, cfg Config, h Hooks) (Result, error) {
 	seen := map[string]bool{}
 	streamed := 0
 	if check || (evlog != nil && h.BusTxn != nil) {
+		var online *coherence.Online
+		if check {
+			online = coherence.NewOnline(sys)
+		}
 		sys.OnTxn = func() {
 			if check {
-				for _, v := range coherence.Check(sys) {
+				for _, v := range online.Check() {
 					if !seen[v] {
 						seen[v] = true
 						violations = append(violations, fmt.Sprintf("cycle %d: %s", sys.Clock(), v))

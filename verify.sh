@@ -5,6 +5,7 @@
 # sim engine, runner worker pool, parallel sweep executor, bus,
 # scheduler queue, serving daemon, single-flight group), the fuzz
 # targets in seed-corpus mode, the differential sim<->mcheck harness,
+# the incremental online checker against the full invariant sweep,
 # the distributed-check differential (a /v1/check sharded across a
 # 3-replica fleet must be byte-identical to a single replica's
 # answer, counterexamples included — and stay so when a replica is
@@ -66,6 +67,9 @@ go test -run 'TestShardedCheckMatchesSingle|TestShardedCheckValidation|TestShard
 echo "== differential sim<->mcheck harness"
 go test -short -run 'TestDifferentialSimMcheck|TestDifferentialHarnessDetectsSeededBug' ./internal/ptest/
 
+echo "== online coherence checker vs full sweep (journal misses no changed block)"
+go test -run 'TestOnlineCheckerMatchesFullSweep|TestJournalRecordsEveryWrite' ./internal/coherence/
+
 echo "== table-vs-method differential (compiled tables against the method oracle)"
 go test -run 'TestTableVsMethod' ./internal/ptest/
 
@@ -76,6 +80,7 @@ echo "== fuzz targets (seed-corpus mode: f.Add seeds + testdata/fuzz)"
 go test -run 'FuzzTraceBinaryRoundTrip|FuzzTraceTextDecode' ./internal/trace/
 go test -run 'FuzzWorkloadReplay' ./internal/workload/
 go test -run 'FuzzRunFileDecode|FuzzShardAbsorb' ./internal/mcheck/
+go test -run 'FuzzSimulateRequest' ./internal/serve/
 
 echo "== workload digest golden (13 protocols x 11 generator configs) + blocking-adapter differential"
 go test -run 'TestProgramDigestsGolden|TestDirectMatchesShim|TestBuildMatchesProgramsOnTwoTier' ./internal/workload/
