@@ -236,7 +236,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 		// The unlock broadcast completes the unlock-write.
 		return protocol.CompleteResult{NewState: WSD, Done: true}
 	}
-	panic(fmt.Sprintf("core: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "core", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol.

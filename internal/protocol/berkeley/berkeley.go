@@ -121,7 +121,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 	case bus.Upgrade:
 		return protocol.CompleteResult{NewState: WD, Done: true}
 	}
-	panic(fmt.Sprintf("berkeley: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "berkeley", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol.

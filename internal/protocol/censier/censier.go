@@ -95,7 +95,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 	case bus.ReadX, bus.Upgrade:
 		return protocol.CompleteResult{NewState: D, Done: true}
 	}
-	panic(fmt.Sprintf("censier: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "censier", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol. Under a directory system this

@@ -114,7 +114,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 		// The sharers have vanished: sole dirty copy.
 		return protocol.CompleteResult{NewState: M, Done: true}
 	}
-	panic(fmt.Sprintf("dragon: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "dragon", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol.

@@ -18,13 +18,17 @@ const (
 )
 
 // KeyTxnForTest builds the zero-noise transaction of a Complete key.
-func KeyTxnForTest(cmd bus.Cmd, flags int) bus.Transaction { return keyTxn(cmd, flags) }
+func KeyTxnForTest(cmd bus.Cmd, flags int) bus.Transaction { return *new(probeTxns).key(cmd, flags) }
 
 // NoisyTxnForTest builds the all-noise transaction of a Complete key.
-func NoisyTxnForTest(cmd bus.Cmd, flags int) bus.Transaction { return noisyTxn(cmd, flags) }
+func NoisyTxnForTest(cmd bus.Cmd, flags int) bus.Transaction {
+	return *new(probeTxns).noisyKey(cmd, flags)
+}
 
 // SnoopNoisyTxnForTest builds the all-noise transaction of a Snoop key.
-func SnoopNoisyTxnForTest(cmd bus.Cmd) bus.Transaction { return snoopNoisyTxn(cmd) }
+func SnoopNoisyTxnForTest(cmd bus.Cmd) bus.Transaction {
+	return *new(probeTxns).noisyKey(cmd, allFlags)
+}
 
 // ValidStatesForTest lists the compiled reachable states.
 func (t *Table) ValidStatesForTest() []State { return t.sortedStates() }

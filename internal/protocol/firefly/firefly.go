@@ -104,7 +104,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 		// and clean.
 		return protocol.CompleteResult{NewState: E, Done: true}
 	}
-	panic(fmt.Sprintf("firefly: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "firefly", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol.

@@ -112,7 +112,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 	case bus.WriteWord:
 		return protocol.CompleteResult{NewState: R, Done: true}
 	}
-	panic(fmt.Sprintf("goodman: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "goodman", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol.

@@ -109,7 +109,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 	case bus.ReadX, bus.Upgrade:
 		return protocol.CompleteResult{NewState: DI, Done: true}
 	}
-	panic(fmt.Sprintf("illinois: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "illinois", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol.

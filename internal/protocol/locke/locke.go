@@ -231,7 +231,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 		// The unlock broadcast completes the unlock-write.
 		return protocol.CompleteResult{NewState: M, Done: true}
 	}
-	panic(fmt.Sprintf("locke: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "locke", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol.

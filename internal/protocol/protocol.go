@@ -183,6 +183,21 @@ type Protocol interface {
 	IsSource(s State) bool
 }
 
+// UnexpectedCmd is the value a Complete implementation panics with
+// when its transaction carries a command it never issues. Compile
+// probes every command in every state, and most probes are rejected
+// this way, so the message is formatted only when something prints
+// the value (fmt's %v and the runtime both use Error).
+type UnexpectedCmd struct {
+	Prefix string // the implementing package, e.g. "goodman", or "core" for bitar
+	Cmd    bus.Cmd
+}
+
+// Error implements error.
+func (e UnexpectedCmd) Error() string {
+	return fmt.Sprintf("%s: Complete with unexpected cmd %v", e.Prefix, e.Cmd)
+}
+
 // registry of protocol constructors.
 var registry = map[string]func() Protocol{}
 

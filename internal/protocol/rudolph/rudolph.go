@@ -116,7 +116,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 	case bus.Upgrade:
 		return protocol.CompleteResult{NewState: D, Done: true}
 	}
-	panic(fmt.Sprintf("rudolph: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "rudolph", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol. Snoop is also called for

@@ -19,7 +19,14 @@
 // verifies this per cell by probing each implementation twice — once
 // with every irrelevant field zero, once with all of them set to
 // noisy values — and refuses to compile a protocol whose results
-// differ (the caller then keeps the method path).
+// differ (the caller then keeps the method path). Compilation is one
+// breadth-first pass: each reachable state's row is filled as the
+// state is dequeued, and the zero probes' results are also what
+// discovers the next states, so every cell costs exactly those two
+// probes. The probe transactions live in storage reused across probes,
+// and the implementations reject a cell by panicking with a value
+// (UnexpectedCmd) rather than a formatted string, so a compile of all
+// registered protocols allocates about once per rejected probe.
 package protocol
 
 import (
@@ -204,11 +211,26 @@ func safeSnoop(p Protocol, s State, t *bus.Transaction) (r SnoopResult, ok bool)
 	return p.Snoop(s, t), true
 }
 
-// keyTxn builds the transaction a (cmd, flags) Complete key denotes,
-// with every non-key field zero. noisyTxn builds the same key with
-// every non-key field set, for the field-dependence probe.
-func keyTxn(cmd bus.Cmd, flags int) bus.Transaction {
-	return bus.Transaction{
+// allFlags is the Complete key with every flag set; a Snoop key
+// carries only Cmd, so its noisy probe sets every response line too.
+const allFlags = numCompleteFlags - 1
+
+// probeTxns holds the two transactions each Complete and Snoop cell is
+// probed with, in storage reused across probes. Every call rebuilds its
+// transaction whole, so each probe sees fresh inputs whatever the
+// previous one did to them.
+type probeTxns struct {
+	zero, noisy bus.Transaction
+
+	blockData  [4]uint64
+	suppliers  [2]int
+	dirtyUnits [2]bool
+}
+
+// key returns the transaction a (cmd, flags) Complete key denotes, with
+// every non-key field zero. A Snoop key is key(cmd, 0).
+func (b *probeTxns) key(cmd bus.Cmd, flags int) *bus.Transaction {
+	b.zero = bus.Transaction{
 		Cmd: cmd,
 		Lines: bus.Lines{
 			Hit:       flags&flagHit != 0,
@@ -218,10 +240,18 @@ func keyTxn(cmd bus.Cmd, flags int) bus.Transaction {
 		},
 		AfterWait: flags&flagAfterWait != 0,
 	}
+	return &b.zero
 }
 
-func noisyTxn(cmd bus.Cmd, flags int) bus.Transaction {
-	t := keyTxn(cmd, flags)
+// noisyKey returns the same key with every non-key field set, for the
+// field-dependence probe. A Snoop key's noisy form is
+// noisyKey(cmd, allFlags).
+func (b *probeTxns) noisyKey(cmd bus.Cmd, flags int) *bus.Transaction {
+	b.blockData = [4]uint64{1, 2, 3, 4}
+	b.suppliers = [2]int{1, 2}
+	b.dirtyUnits = [2]bool{true, false}
+	b.noisy = *b.key(cmd, flags)
+	t := &b.noisy
 	t.Block = 3
 	t.Addr = 29
 	t.Requester = 5
@@ -230,151 +260,203 @@ func noisyTxn(cmd bus.Cmd, flags int) bus.Transaction {
 	t.MemUpdate = true
 	t.WordData = 0xdeadbeefcafe
 	t.Lines.Inhibit = true
-	t.BlockData = []uint64{1, 2, 3, 4}
-	t.Suppliers = []int{1, 2}
+	t.BlockData = b.blockData[:]
+	t.Suppliers = b.suppliers[:]
 	t.Flushed = true
 	t.SupplyWordCount = 2
-	t.DirtyUnits = []bool{true, false}
+	t.DirtyUnits = b.dirtyUnits[:]
 	return t
 }
 
-// snoopKeyTxn/snoopNoisyTxn are the Snoop-key analogues: only Cmd is
-// in the key, so the noisy form sets every response line too.
-func snoopKeyTxn(cmd bus.Cmd) bus.Transaction {
-	return bus.Transaction{Cmd: cmd}
+// completeCells is the number of Complete cells in one state's row.
+const completeCells = numOps * numCmds * numCompleteFlags
+
+// row is one reachable state's compiled cells, or the first error its
+// cells raise in the order Compile reports them.
+type row struct {
+	evict         Evict
+	priv          Priv
+	dirty, source bool
+	proc          [numOps]ProcResult
+	complete      [completeCells]completeCell
+	snoop         [numCmds]snoopCell
+	err           error
 }
 
-func snoopNoisyTxn(cmd bus.Cmd) bus.Transaction {
-	t := noisyTxn(cmd, flagHit|flagSourceHit|flagDirty|flagLocked|flagAfterWait)
-	return t
+// noError is compiler.errState while no row has failed.
+const noError = State(maxTableState + 1)
+
+// compiler is the state of one Compile: a breadth-first pass over the
+// reachable states that probes every cell of each state as it is
+// dequeued.
+type compiler struct {
+	p     Protocol
+	txns  probeTxns
+	seen  [1 << 16 / 64]uint64 // bitset over every State value
+	queue []State
+	max   State
+	rows  [maxTableState + 1]*row
+	// errState is the lowest state whose row failed (noError if none).
+	// A state above it, or any state once the dense bound is exceeded,
+	// is probed for discovery only: Compile fails either way, and only
+	// the lowest failing state's error is reported.
+	errState State
 }
 
-// Compile flattens p's state machine into dense tables by exhaustive
-// enumeration of the reachable state × event space. It fails — and the
-// caller keeps the method path — when the reachable states exceed the
-// dense bound, when a per-state hook panics on a reachable state, or
-// when Complete/Snoop turn out to depend on a Transaction field
-// outside the table key.
-func Compile(p Protocol) (*Table, error) {
-	// Reachable-state closure, seeded with Invalid and the lock-purge
-	// reclaim states (entered from memory lock tags, not transitions).
-	seen := map[State]bool{Invalid: true}
-	queue := []State{Invalid}
-	add := func(s State) {
-		if !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
+// add marks s reachable and queues it for a visit.
+func (c *compiler) add(s State) {
+	if c.seen[s/64]&(1<<(s%64)) != 0 {
+		return
+	}
+	c.seen[s/64] |= 1 << (s % 64)
+	c.queue = append(c.queue, s)
+	if s > c.max {
+		c.max = s
+	}
+}
+
+// visit probes every cell of state s. Zero-transaction results seed
+// discovery. Unless the compile is already bound to fail, s's row is
+// filled too, each Complete and Snoop cell from its zero and noisy
+// probes, checking in this order: per-state hooks, then per op its
+// ProcAccess and Complete cells, then Snoop. After the row's first
+// error the remaining cells are probed for discovery only.
+func (c *compiler) visit(s State) {
+	p := c.p
+	var r *row
+	if c.max <= maxTableState && s < c.errState {
+		r = &row{}
+		c.rows[s] = r
+	}
+	fail := func(err error) {
+		r.err, c.errState, r = err, s, nil
+	}
+	if r != nil {
+		if err := r.hooks(p, s); err != nil {
+			fail(err)
 		}
 	}
-	if lr, ok := p.(LockReclaimer); ok {
-		add(lr.ReclaimedLockState(false))
-		add(lr.ReclaimedLockState(true))
-	}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		for op := Op(0); int(op) < numOps; op++ {
-			if r, ok := safeProc(p, s, op); ok && r.Hit {
-				add(r.NewState)
-			}
-			for cmd := bus.Cmd(0); int(cmd) < numCmds; cmd++ {
-				for flags := 0; flags < numCompleteFlags; flags++ {
-					t := keyTxn(cmd, flags)
-					if r, ok := safeComplete(p, s, op, &t); ok {
-						add(r.NewState)
-					}
-				}
+	for op := Op(0); int(op) < numOps; op++ {
+		pr, ok := safeProc(p, s, op)
+		if ok && pr.Hit {
+			c.add(pr.NewState)
+		}
+		if r != nil {
+			if ok {
+				r.proc[op] = pr
+			} else {
+				fail(fmt.Errorf("protocol %s: ProcAccess(%d, %s) panicked on reachable state",
+					p.Name(), s, op))
 			}
 		}
 		for cmd := bus.Cmd(0); int(cmd) < numCmds; cmd++ {
-			t := snoopKeyTxn(cmd)
-			if r, ok := safeSnoop(p, s, &t); ok {
-				add(r.NewState)
+			for flags := 0; flags < numCompleteFlags; flags++ {
+				rz, okz := safeComplete(p, s, op, c.txns.key(cmd, flags))
+				if okz {
+					c.add(rz.NewState)
+				}
+				if r == nil {
+					continue
+				}
+				rn, okn := safeComplete(p, s, op, c.txns.noisyKey(cmd, flags))
+				if okz != okn || (okz && rz != rn) {
+					fail(fmt.Errorf("protocol %s: Complete(%d, %s, %s/flags=%#x) depends on a transaction field outside the table key",
+						p.Name(), s, op, cmd, flags))
+					continue
+				}
+				r.complete[(int(op)*numCmds+int(cmd))*numCompleteFlags+flags] = completeCell{res: rz, ok: okz}
 			}
 		}
 	}
-
-	maxState := State(0)
-	for s := range seen {
-		if s > maxState {
-			maxState = s
+	for cmd := bus.Cmd(0); int(cmd) < numCmds; cmd++ {
+		rz, okz := safeSnoop(p, s, c.txns.key(cmd, 0))
+		if okz {
+			c.add(rz.NewState)
 		}
+		if r == nil {
+			continue
+		}
+		rn, okn := safeSnoop(p, s, c.txns.noisyKey(cmd, allFlags))
+		if okz != okn || (okz && rz != rn) {
+			fail(fmt.Errorf("protocol %s: Snoop(%d, %s) depends on a transaction field outside the table key",
+				p.Name(), s, cmd))
+			continue
+		}
+		r.snoop[cmd] = snoopCell{res: rz, ok: okz}
 	}
-	if int(maxState) > maxTableState {
-		return nil, fmt.Errorf("protocol %s: state %d exceeds dense table bound %d",
-			p.Name(), maxState, maxTableState)
+}
+
+// hooks fills the per-state cells. They must be total over reachable
+// states: the engines call them unconditionally.
+func (r *row) hooks(p Protocol, s State) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("protocol %s: per-state hook panicked on reachable state %d: %v",
+				p.Name(), s, v)
+		}
+	}()
+	r.evict = p.Evict(s)
+	r.priv = p.Privilege(s)
+	r.dirty = p.IsDirty(s)
+	r.source = p.IsSource(s)
+	return nil
+}
+
+// Compile flattens p's state machine into dense tables by exhaustive
+// enumeration of the reachable state × event space, in one
+// breadth-first pass from Invalid and the lock-purge reclaim states
+// (entered from memory lock tags, not transitions). As each state is
+// dequeued its whole row is computed, each Complete and Snoop cell from
+// two probes: the zero transaction, whose result also seeds discovery,
+// and the noisy one. It fails — and the caller keeps the method path —
+// when the reachable states exceed the dense bound, when a per-state
+// hook or ProcAccess panics on a reachable state, or when
+// Complete/Snoop turn out to depend on a Transaction field outside the
+// table key; a bound error comes first, then the lowest failing
+// state's first error.
+func Compile(p Protocol) (*Table, error) {
+	c := &compiler{p: p, errState: noError}
+	c.add(Invalid)
+	if lr, ok := p.(LockReclaimer); ok {
+		c.add(lr.ReclaimedLockState(false))
+		c.add(lr.ReclaimedLockState(true))
+	}
+	for len(c.queue) > 0 {
+		s := c.queue[0]
+		c.queue = c.queue[1:]
+		c.visit(s)
 	}
 
-	n := int(maxState) + 1
+	if c.max > maxTableState {
+		return nil, fmt.Errorf("protocol %s: state %d exceeds dense table bound %d",
+			p.Name(), c.max, maxTableState)
+	}
+	if c.errState != noError {
+		return nil, c.rows[c.errState].err
+	}
+
+	n := int(c.max) + 1
 	t := &Table{
 		proto:    p,
 		nstates:  n,
 		valid:    make([]bool, n),
 		proc:     make([]ProcResult, n*numOps),
-		complete: make([]completeCell, n*numOps*numCmds*numCompleteFlags),
+		complete: make([]completeCell, n*completeCells),
 		snoop:    make([]snoopCell, n*numCmds),
 		evict:    make([]Evict, n),
 		priv:     make([]Priv, n),
 		dirty:    make([]bool, n),
 		source:   make([]bool, n),
 	}
-	for si := 0; si < n; si++ {
-		s := State(si)
-		if !seen[s] {
+	for si, r := range c.rows[:n] {
+		if r == nil {
 			continue
 		}
 		t.valid[si] = true
-		// Per-state hooks must be total over reachable states: the
-		// engines call them unconditionally.
-		var perStateErr error
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					perStateErr = fmt.Errorf("protocol %s: per-state hook panicked on reachable state %d: %v",
-						p.Name(), si, r)
-				}
-			}()
-			t.evict[si] = p.Evict(s)
-			t.priv[si] = p.Privilege(s)
-			t.dirty[si] = p.IsDirty(s)
-			t.source[si] = p.IsSource(s)
-		}()
-		if perStateErr != nil {
-			return nil, perStateErr
-		}
-		for op := Op(0); int(op) < numOps; op++ {
-			r, ok := safeProc(p, s, op)
-			if !ok {
-				return nil, fmt.Errorf("protocol %s: ProcAccess(%d, %s) panicked on reachable state",
-					p.Name(), si, op)
-			}
-			t.proc[si*numOps+int(op)] = r
-			for cmd := bus.Cmd(0); int(cmd) < numCmds; cmd++ {
-				for flags := 0; flags < numCompleteFlags; flags++ {
-					zero := keyTxn(cmd, flags)
-					noisy := noisyTxn(cmd, flags)
-					rz, okz := safeComplete(p, s, op, &zero)
-					rn, okn := safeComplete(p, s, op, &noisy)
-					if okz != okn || (okz && rz != rn) {
-						return nil, fmt.Errorf("protocol %s: Complete(%d, %s, %s/flags=%#x) depends on a transaction field outside the table key",
-							p.Name(), si, op, cmd, flags)
-					}
-					idx := ((si*numOps+int(op))*numCmds+int(cmd))*numCompleteFlags + flags
-					t.complete[idx] = completeCell{res: rz, ok: okz}
-				}
-			}
-		}
-		for cmd := bus.Cmd(0); int(cmd) < numCmds; cmd++ {
-			zero := snoopKeyTxn(cmd)
-			noisy := snoopNoisyTxn(cmd)
-			rz, okz := safeSnoop(p, s, &zero)
-			rn, okn := safeSnoop(p, s, &noisy)
-			if okz != okn || (okz && rz != rn) {
-				return nil, fmt.Errorf("protocol %s: Snoop(%d, %s) depends on a transaction field outside the table key",
-					p.Name(), si, cmd)
-			}
-			t.snoop[si*numCmds+int(cmd)] = snoopCell{res: rz, ok: okz}
-		}
+		t.evict[si], t.priv[si], t.dirty[si], t.source[si] = r.evict, r.priv, r.dirty, r.source
+		copy(t.proc[si*numOps:], r.proc[:])
+		copy(t.complete[si*completeCells:], r.complete[:])
+		copy(t.snoop[si*numCmds:], r.snoop[:])
 	}
 	return t, nil
 }

@@ -83,7 +83,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 		// write hit keeps the (updated) copy valid.
 		return protocol.CompleteResult{NewState: s, Done: true}
 	}
-	panic(fmt.Sprintf("writethrough: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "writethrough", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol.

@@ -110,7 +110,7 @@ func (Protocol) Complete(s protocol.State, op protocol.Op, t *bus.Transaction) p
 	case bus.Upgrade:
 		return protocol.CompleteResult{NewState: D, Done: true}
 	}
-	panic(fmt.Sprintf("yen: Complete with unexpected cmd %v", t.Cmd))
+	panic(protocol.UnexpectedCmd{Prefix: "yen", Cmd: t.Cmd})
 }
 
 // Snoop implements protocol.Protocol.

@@ -714,16 +714,26 @@ type SweepCell struct {
 	Remote   int    `json:"remote,omitempty"`
 }
 
+// maxSweepPoints caps the cells one sweep request may expand to.
+const maxSweepPoints = 256
+
+var errSweepTooLarge = fmt.Errorf("sweep exceeds %d points", maxSweepPoints)
+
 // Expand resolves the request into its normalized, validated cell
 // configurations in deterministic order (protocols outer, procs
 // inner; or Cells verbatim). The router and the replica both call
 // this, so a sharded sweep executes exactly the cells — in exactly
-// the per-shard order — that a single-replica sweep would.
+// the per-shard order — that a single-replica sweep would. The point
+// cap is checked before anything is built: each list, then the
+// product, so an oversized body costs no more than its own decoding.
 func (sr SweepRequest) Expand() ([]simrun.Config, error) {
 	var cells []SweepCell
 	if len(sr.Cells) > 0 {
 		if len(sr.Protocols) > 0 || len(sr.Procs) > 0 {
 			return nil, fmt.Errorf("cells and protocols/procs are mutually exclusive")
+		}
+		if len(sr.Cells) > maxSweepPoints {
+			return nil, errSweepTooLarge
 		}
 		cells = sr.Cells
 	} else {
@@ -739,6 +749,13 @@ func (sr SweepRequest) Expand() ([]simrun.Config, error) {
 		if len(remotes) == 0 {
 			remotes = []int{0}
 		}
+		// No list is empty, so a list over the cap makes the product
+		// exceed it too; below that the product cannot overflow.
+		if len(protos) > maxSweepPoints || len(procs) > maxSweepPoints || len(remotes) > maxSweepPoints ||
+			len(protos)*len(procs)*len(remotes) > maxSweepPoints {
+			return nil, errSweepTooLarge
+		}
+		cells = make([]SweepCell, 0, len(protos)*len(procs)*len(remotes))
 		for _, p := range protos {
 			for _, n := range procs {
 				for _, r := range remotes {
@@ -746,9 +763,6 @@ func (sr SweepRequest) Expand() ([]simrun.Config, error) {
 				}
 			}
 		}
-	}
-	if len(cells) > 256 {
-		return nil, fmt.Errorf("sweep exceeds 256 points")
 	}
 	// Validate every point up front so a bad cell fails fast as a 400,
 	// not mid-sweep as a 500.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +191,67 @@ func TestSweepEndpoint(t *testing.T) {
 		if p.Cycles <= 0 {
 			t.Fatalf("point %+v has no cycles", p)
 		}
+	}
+}
+
+// bigSweepBody is a 1,000 procs × 1,000 remotes sweep of one protocol:
+// about 8 KB of JSON naming a million points.
+func bigSweepBody() []byte {
+	var b strings.Builder
+	b.WriteString(`{"protocols":["bitar"],"tiers":2,"procs":[`)
+	for i := 1; i <= 1000; i++ {
+		if i > 1 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(i))
+	}
+	b.WriteString(`],"remotes":[`)
+	for i := 1; i <= 1000; i++ {
+		if i > 1 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(i))
+	}
+	b.WriteString(`]}`)
+	return []byte(b.String())
+}
+
+// TestSweepExpandBoundsBeforeAllocating pins that an oversized sweep is
+// refused before its points are built: rejecting a million-point body
+// must cost Expand less than 64 KiB, not the product's size.
+func TestSweepExpandBoundsBeforeAllocating(t *testing.T) {
+	r := httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(bigSweepBody()))
+	var sr SweepRequest
+	if err := decodeBody(r, &sr); err != nil {
+		t.Fatal(err)
+	}
+	// Other goroutines only add to TotalAlloc, so the least of a few
+	// readings is Expand's own.
+	least := uint64(1 << 62)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cfgs, err := sr.Expand()
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != "sweep exceeds 256 points" {
+			t.Fatalf("Expand = %d configs, %v; want the 256-point error", len(cfgs), err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d < least {
+			least = d
+		}
+	}
+	if least >= 64<<10 {
+		t.Fatalf("rejecting the body allocated %d bytes, want under 64 KiB", least)
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(bigSweepBody()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -4,7 +4,9 @@
 # (model-checker BFS, partial-order reduction, sharded exploration,
 # sim engine, runner worker pool, parallel sweep executor, bus,
 # scheduler queue, serving daemon, single-flight group), the fuzz
-# targets in seed-corpus mode, the differential sim<->mcheck harness,
+# targets in seed-corpus mode (trace codecs, workload replay, run
+# files, shard absorb, and the simulate and sweep request decoders),
+# the differential sim<->mcheck harness,
 # the incremental online checker against the full invariant sweep,
 # the distributed-check differential (a /v1/check sharded across a
 # 3-replica fleet must be byte-identical to a single replica's
@@ -14,7 +16,10 @@
 # checkpointing run, resume it, byte-identical summary) plus the
 # pinned disk-backed bitar p4 exhaustive check, the table-vs-method differential plus the
 # transition-table freshness gate (committed goldens must match the
-# tables compiled from the protocol code), the workload digest golden
+# tables compiled from the protocol code, every refusal keeps its
+# error text, rejected Complete cells keep their panic text, and a
+# compile of every protocol stays within its allocation budget), the
+# workload digest golden
 # and the blocking-adapter differential, a live
 # cachesyncd smoke (start, probe — including the -pprof diagnostic
 # mount — graceful stop), the steady-state allocation gate of the
@@ -73,14 +78,15 @@ go test -run 'TestOnlineCheckerMatchesFullSweep|TestJournalRecordsEveryWrite' ./
 echo "== table-vs-method differential (compiled tables against the method oracle)"
 go test -run 'TestTableVsMethod' ./internal/ptest/
 
-echo "== transition-table freshness gate (goldens vs compiled tables)"
+echo "== transition-table freshness gate (goldens vs compiled tables, refusals, panic text, compile allocations)"
 go run ./cmd/tables -check-transition-goldens
+go test -run 'TestCompileRefusals|TestCompletePanicText|TestCompileAllocBudget' ./internal/protocol/
 
 echo "== fuzz targets (seed-corpus mode: f.Add seeds + testdata/fuzz)"
 go test -run 'FuzzTraceBinaryRoundTrip|FuzzTraceTextDecode' ./internal/trace/
 go test -run 'FuzzWorkloadReplay' ./internal/workload/
 go test -run 'FuzzRunFileDecode|FuzzShardAbsorb' ./internal/mcheck/
-go test -run 'FuzzSimulateRequest' ./internal/serve/
+go test -run 'FuzzSimulateRequest|FuzzSweepRequest' ./internal/serve/
 
 echo "== workload digest golden (13 protocols x 11 generator configs) + blocking-adapter differential"
 go test -run 'TestProgramDigestsGolden|TestDirectMatchesShim|TestBuildMatchesProgramsOnTwoTier' ./internal/workload/
