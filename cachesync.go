@@ -15,8 +15,8 @@
 // workload package) produce Programs, and Machine.RunPrograms runs
 // them. Hand-written scenarios can instead be ordinary Go functions
 // against a blocking processor API: Machine.Run hands each one to the
-// engine through a small adapter that runs it on its own goroutine,
-// lock-stepped with the event loop. Either way runs are
+// engine through a small adapter that runs it as a coroutine, resumed
+// by the event loop for each operation. Either way runs are
 // deterministic, so identical seeds give identical statistics.
 //
 //	m, _ := cachesync.New(cachesync.Config{Protocol: "bitar", Procs: 4})
@@ -186,9 +186,10 @@ func New(cfg Config) (*Machine, error) {
 // Run executes one blocking workload per processor (nil or missing
 // entries idle) and returns when all have finished, or with
 // RunPrograms' errors. Each workload reaches the engine through the
-// blocking adapter: its own goroutine, lock-stepped with the event
-// loop, giving the same run as the equivalent Programs. A panic in a
-// workload is raised again on the caller's goroutine.
+// blocking adapter: a coroutine the event loop resumes for each
+// operation, giving the same run as the equivalent Programs. A panic
+// in a workload is raised again on the caller's goroutine; see
+// sim.System.Run for runtime.Goexit.
 func (m *Machine) Run(ws []Workload) error { return m.sys.Run(ws) }
 
 // RunPrograms executes one Program per processor (nil or missing

@@ -224,10 +224,17 @@ type expandWorker struct {
 	err    error
 }
 
+// MaxShards bounds the session count of one sharded exploration, far
+// above any fleet (cachesyncc fans a check out to at most 16). A
+// session allocates an outbox per session for each expand worker, so
+// the bound also caps what one /v1/shard/open body can make a replica
+// allocate.
+const MaxShards = 256
+
 // NewShardSession builds session shard self of total for one
-// exploration. The configuration must be identical on every shard. A
-// session with a MemBudget spills to a temporary directory that Close
-// removes.
+// exploration; total is at most MaxShards. The configuration must be
+// identical on every shard. A session with a MemBudget spills to a
+// temporary directory that Close removes.
 func NewShardSession(opts Options, self, total int) (*ShardSession, error) {
 	o := opts.withDefaults()
 	if err := validate(o); err != nil {
@@ -238,6 +245,9 @@ func NewShardSession(opts Options, self, total int) (*ShardSession, error) {
 	}
 	if o.MemBudget > 0 && total > 1 {
 		return nil, fmt.Errorf("mcheck: MemBudget does not compose with sharded exploration (spilling is per-process)")
+	}
+	if total > MaxShards {
+		return nil, fmt.Errorf("mcheck: %d shards exceed the limit of %d", total, MaxShards)
 	}
 	if total < 1 || self < 0 || self >= total {
 		return nil, fmt.Errorf("mcheck: shard %d/%d out of range", self, total)

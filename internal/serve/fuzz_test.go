@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"cachesync/internal/mcheck"
 	"cachesync/internal/simrun"
 )
 
@@ -71,6 +72,52 @@ func FuzzSweepRequest(f *testing.F) {
 			if _, _, err := simrun.BuildMachine(cfg); err != nil {
 				t.Fatalf("accepted %s but cell %+v does not build: %v", body, cfg, err)
 			}
+		}
+	})
+}
+
+// FuzzCheckRequest feeds arbitrary bytes through the /v1/check decoder
+// and the /v1/shard/open decoder. A check body the decoder accepts
+// must resolve its mcheck.Options; a shard/open body it accepts must
+// build its session for a two-worker replica or be refused by
+// NewShardSession, a 400 either way. Neither may panic, and resolving
+// the options or building the session must allocate under 1 MiB, so
+// no body can size a replica's memory (at 2^20 shards a session once
+// allocated about 76 MB).
+func FuzzCheckRequest(f *testing.F) {
+	f.Add([]byte(`{"protocol":"bitar"}`))
+	f.Add([]byte(`{"protocol":"dragon","procs":5,"blocks":2,"words":4,"depth":12,"symmetry":true,"maxstates":4194304}`))
+	f.Add([]byte(`{"protocol":"locke","inject":"stale-lock-grant","por":true,"blocks":2}`))
+	f.Add([]byte(`{"protocol":"bitar","depth":99}`))
+	f.Add([]byte(`{"session":"s","protocol":"bitar","procs":3,"self":2,"total":3,"resume":true}`))
+	f.Add([]byte(`{"session":"s","protocol":"bitar","self":256,"total":256}`))
+	f.Add([]byte(`{"session":"s","protocol":"illinois","por":true,"total":2}`))
+	f.Add([]byte(hugeShardOpenBody))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		post := func(path string) *http.Request {
+			return httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		}
+		if cr, err := checkRequest(post("/v1/check")); err == nil {
+			if n := leastAlloc(2, func() {
+				if _, err := cr.Options(); err != nil {
+					t.Fatalf("accepted %s (%+v) but its options do not resolve: %v", body, cr, err)
+				}
+			}); n >= 1<<20 {
+				t.Fatalf("resolving the options of %s allocated %d bytes, want under 1 MiB", body, n)
+			}
+		}
+		req, opts, err := shardOpenOptions(post("/v1/shard/open"))
+		if err != nil {
+			return
+		}
+		opts.Workers = 2
+		if n := leastAlloc(2, func() {
+			if sess, err := mcheck.NewShardSession(opts, req.Self, req.Total); err == nil {
+				sess.Close()
+			}
+		}); n >= 1<<20 {
+			t.Fatalf("building the session of %s allocated %d bytes, want under 1 MiB", body, n)
 		}
 	})
 }

@@ -645,14 +645,20 @@ type CheckResponse struct {
 	Result    json.RawMessage `json:"result"`
 }
 
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+// checkRequest decodes, normalizes and validates a /v1/check request
+// body; an error is the caller's fault.
+func checkRequest(r *http.Request) (CheckRequest, error) {
 	var cr CheckRequest
 	if err := decodeBody(r, &cr); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
-		return
+		return cr, err
 	}
 	cr = cr.Normalize()
-	if err := cr.validate(); err != nil {
+	return cr, cr.validate()
+}
+
+func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+	cr, err := checkRequest(r)
+	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
 		return
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"cachesync/internal/mcheck"
 	_ "cachesync/internal/protocol/all"
 	"cachesync/internal/runner"
 	"cachesync/internal/simrun"
@@ -225,27 +226,69 @@ func TestSweepExpandBoundsBeforeAllocating(t *testing.T) {
 	if err := decodeBody(r, &sr); err != nil {
 		t.Fatal(err)
 	}
-	// Other goroutines only add to TotalAlloc, so the least of a few
-	// readings is Expand's own.
-	least := uint64(1 << 62)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	least := leastAlloc(3, func() {
 		cfgs, err := sr.Expand()
-		runtime.ReadMemStats(&after)
 		if err == nil || err.Error() != "sweep exceeds 256 points" {
 			t.Fatalf("Expand = %d configs, %v; want the 256-point error", len(cfgs), err)
 		}
-		if d := after.TotalAlloc - before.TotalAlloc; d < least {
-			least = d
-		}
-	}
+	})
 	if least >= 64<<10 {
 		t.Fatalf("rejecting the body allocated %d bytes, want under 64 KiB", least)
 	}
 
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(bigSweepBody()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// hugeShardOpenBody is a /v1/shard/open body, under 100 bytes, that
+// asks for a session of 2^20 shards.
+const hugeShardOpenBody = `{"session":"huge","protocol":"bitar","self":0,"total":1048576}`
+
+// leastAlloc returns the fewest bytes fn allocated over n calls. Other
+// goroutines only add to TotalAlloc, so the least reading is fn's own.
+func leastAlloc(n int, fn func()) uint64 {
+	least := uint64(1 << 62)
+	for i := 0; i < n; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestShardOpenBoundsTotal pins that /v1/shard/open cannot size a
+// session's memory: a session of 2^20 shards, which allocated about
+// 76 MB of per-shard outboxes with two expand workers, is refused
+// while allocating under 64 KiB, and the body gets a 400.
+func TestShardOpenBoundsTotal(t *testing.T) {
+	r := httptest.NewRequest(http.MethodPost, "/v1/shard/open", strings.NewReader(hugeShardOpenBody))
+	req, opts, err := shardOpenOptions(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workers = 2
+	least := leastAlloc(3, func() {
+		sess, err := mcheck.NewShardSession(opts, req.Self, req.Total)
+		if err == nil {
+			sess.Close()
+			t.Fatalf("NewShardSession accepted %d shards", req.Total)
+		}
+	})
+	if least >= 64<<10 {
+		t.Fatalf("refusing %d shards allocated %d bytes, want under 64 KiB", req.Total, least)
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 2})
+	resp, err := http.Post(ts.URL+"/v1/shard/open", "application/json", strings.NewReader(hugeShardOpenBody))
 	if err != nil {
 		t.Fatal(err)
 	}

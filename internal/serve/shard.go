@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -119,22 +120,29 @@ type shardCallRequest struct {
 	ID      uint64            `json:"id,omitempty"`
 }
 
-func (s *Server) handleShardOpen(w http.ResponseWriter, r *http.Request) {
+// shardOpenOptions decodes a /v1/shard/open request body into the
+// request and its checker options; an error is the caller's fault.
+func shardOpenOptions(r *http.Request) (shardOpenRequest, mcheck.Options, error) {
 	var req shardOpenRequest
 	if err := decodeBodyLimit(r, &req, shardBodyLimit); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
-		return
+		return req, mcheck.Options{}, err
 	}
 	if req.Session == "" || len(req.Session) > 128 {
-		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad session id"}, false)
-		return
+		return req, mcheck.Options{}, errors.New("bad session id")
 	}
 	opts, err := req.CheckRequest.Normalize().Options()
+	return req, opts, err
+}
+
+func (s *Server) handleShardOpen(w http.ResponseWriter, r *http.Request) {
+	req, opts, err := shardOpenOptions(r)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
 		return
 	}
 	opts.Workers = s.cfg.Workers
+	// NewShardSession bounds the session count, so a body cannot size
+	// the session's memory.
 	sess, err := mcheck.NewShardSession(opts, req.Self, req.Total)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)

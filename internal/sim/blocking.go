@@ -1,82 +1,68 @@
+//go:build go1.23
+
 package sim
 
+import "iter"
+
 // blocking adapts a blocking workload — a func(*Proc) calling the
-// Proc's blocking methods — to a Program. The function runs on its
-// own goroutine, lock-stepped with the engine: Proc.Do sends the op
-// on req and parks on res; Next hands the previous op's Result back
-// over res and waits on req for the next op. Exactly one side runs at
-// a time, so a blocking workload replays the same op stream, and the
-// same run, as the equivalent Program.
+// Proc's blocking methods — to a Program. The function runs as a
+// coroutine (iter.Pull) that yields one op per Proc.Do: Next resumes
+// it with the previous op's Result and takes its next op, a direct
+// switch with no scheduler hand-off. Exactly one side runs at a time,
+// so a blocking workload replays the same op stream, and the same
+// run, as the equivalent Program. iter.Pull raises a workload panic
+// again in Next, on the engine goroutine, so it reaches the caller of
+// System.Run.
+//
+// The file's go1.23 constraint raises its language version for
+// iter.Pull above the module's go 1.22 line.
 type blocking struct {
-	w        func(*Proc)
-	req      chan procOp
-	res      chan Result
-	finished bool // the goroutine has exited
-	panicked bool // ...by a workload panic, whose value is panicVal
-	panicVal any
+	w     func(*Proc)
+	next  func() (procOp, bool)
+	stop  func()
+	yield func(procOp) bool
+	last  Result // the Result do hands back to the workload
 }
 
-// abortRun is the sentinel Do panics with when the run ends before
-// the workload does; the goroutine wrapper recovers exactly this type.
+// abortRun is the panic do raises when the run ends before the
+// workload does; it unwinds the workload so the coroutine can finish.
 type abortRun struct{}
 
-// Next starts the workload goroutine on the first call and otherwise
-// resumes it with last; either way it returns the goroutine's next op.
-// A workload panic is raised again here, on the engine goroutine, so
-// it reaches the caller of System.Run.
+// Next starts the workload on the first call; every call resumes it
+// with last and returns its next op.
 func (b *blocking) Next(p *Proc, last Result) (Op, bool) {
-	if b.req == nil {
-		b.req = make(chan procOp, 1)
-		b.res = make(chan Result, 1)
-		go b.run(p)
-	} else {
-		b.res <- last
+	if b.next == nil {
+		b.next, b.stop = iter.Pull(func(yield func(procOp) bool) {
+			b.yield = yield
+			b.w(p)
+		})
 	}
-	op := <-b.req
-	if op.kind != opDone {
-		return Op{op}, true
-	}
-	b.finished = true
-	if b.panicked {
-		panic(b.panicVal)
-	}
-	return Op{}, false
+	b.last = last
+	op, ok := b.next()
+	return Op{op}, ok
 }
 
-func (b *blocking) run(p *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, aborted := r.(abortRun); !aborted {
-				b.panicked, b.panicVal = true, r
-			}
-		}
-		b.req <- procOp{kind: opDone}
-	}()
-	b.w(p)
-}
-
-// do is the workload goroutine's half of the lock step.
+// do is the workload's half: it yields op to the engine and returns
+// that op's Result once Next resumes it.
 func (b *blocking) do(op procOp) Result {
-	b.req <- op
-	r, ok := <-b.res
-	if !ok {
+	if !b.yield(op) {
 		panic(abortRun{})
 	}
-	return r
+	return b.last
 }
 
-// abort unwinds a workload goroutine parked in do: closing res makes
-// do panic with abortRun, which the wrapper recovers. abort returns
-// once the goroutine has exited, discarding any op a workload that
-// swallows the sentinel still issues.
+// abort unwinds a workload still parked in do: stop makes its yield
+// report false, do panics with abortRun, and stop returns once the
+// workload has exited. Any panic that unwinding raises — the abortRun
+// itself, or a deferred cleanup that panics — is discarded, because
+// the run already has its outcome and the other workloads must unwind
+// too. After a finished workload stop does nothing.
 func (b *blocking) abort() {
-	if b.req == nil || b.finished {
+	if b.stop == nil {
 		return
 	}
-	b.finished = true
-	close(b.res)
-	for (<-b.req).kind != opDone {
-	}
+	defer func() { _ = recover() }()
+	b.stop()
 }
 
 // Workloads turns Programs into blocking workloads for System.Run:

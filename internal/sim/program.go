@@ -23,8 +23,8 @@ import (
 // across calls is safe and allocation-free.
 //
 // Blocking workloads (System.Run) reach the engine as Programs too,
-// through an adapter that runs each one on its own goroutine and
-// lock-steps it with the engine.
+// through an adapter that runs each one as a coroutine the engine
+// resumes once per op.
 type Program interface {
 	Next(p *Proc, last Result) (Op, bool)
 }

@@ -1,7 +1,12 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"reflect"
+	"strings"
 	"testing"
 
 	"cachesync/internal/interconnect"
@@ -86,8 +91,9 @@ func FuzzTraceBinaryRoundTrip(f *testing.F) {
 }
 
 // FuzzTraceTextDecode drives the text parser: arbitrary text must
-// either decode or error, never panic, and whatever decodes must
-// survive the text round trip.
+// either decode or error, never panic; Decode must give exactly what
+// decodeReference gives, the same events or the same error text; and
+// whatever decodes must survive the text round trip.
 func FuzzTraceTextDecode(f *testing.F) {
 	f.Add("0 R 5\n1 W 5 42\n2 L 8\n2 U 8 7\n0 A 16\n1 C 100\n")
 	f.Add("# comment\n\n0 E 3\n")
@@ -97,10 +103,31 @@ func FuzzTraceTextDecode(f *testing.F) {
 	f.Add("0 R 5 instr\n1 W 5 42 data\n2 L 8 sync\n")
 	f.Add("0 R 5 bogus\n")        // unknown class token
 	f.Add("0 W 5 42 data junk\n") // trailing junk after the class
+	// Each leniency of fmt's %d that Decode keeps.
+	f.Add("3x R 12abc\n")                           // text after the digits is ignored
+	f.Add("+1 C -5\n")                              // signed processor and cycle count
+	f.Add("-0 R 1\n")                               // minus zero is processor 0
+	f.Add("0 R +1\n")                               // an address takes no sign
+	f.Add("0 R 00000000000000000000000000012345\n") // leading zeros past 20 digits
+	f.Add("0 R 18446744073709551615\n")             // the largest 20-digit address
+	f.Add("0 R 18446744073709551616\n")             // an address of 2^64 overflows
+	f.Add("9223372036854775808 R 1\n")              // a processor past int64 overflows
+	f.Add("0 C -9223372036854775808\n")             // the smallest cycle count
+	f.Add("0\u00a0R\u20035\u3000data\n")            // Unicode spaces separate fields
+	f.Add("\u2028# a comment after a Unicode space\n0 R \xff5\n")
+	f.Add("   # a comment after leading spaces\n\t0 R 1\r\n")
+	f.Add("0 R 1\n" + strings.Repeat("x", 70000) + "\n") // a line over 64 KiB
 	f.Fuzz(func(t *testing.T, text string) {
-		tr, err := Decode(bytes.NewReader([]byte(text)))
+		tr, err := Decode(strings.NewReader(text))
+		ref, refErr := decodeReference(strings.NewReader(text))
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("Decode error %v, reference error %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(tr, ref) {
+			t.Fatalf("Decode gave %+v, reference %+v", tr.Events, ref.Events)
 		}
 		var enc bytes.Buffer
 		if err := tr.Encode(&enc); err != nil {
@@ -114,4 +141,73 @@ func FuzzTraceTextDecode(f *testing.F) {
 			t.Fatalf("round trip changed event count: %d -> %d", len(tr.Events), len(tr2.Events))
 		}
 	})
+}
+
+// decodeReference is the fmt-based text decoder Decode replaced,
+// kept as the differential fuzz's oracle: it reads each number with
+// fmt.Sscanf's %d.
+func decodeReference(r io.Reader) (*Trace, error) {
+	t := &Trace{}
+	sc := bufio.NewScanner(r)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		var e Event
+		var kind string
+		fields := strings.Fields(line)
+		if len(fields) < 3 {
+			return nil, fmt.Errorf("trace: line %d: too few fields: %q", lineNo, line)
+		}
+		if _, err := fmt.Sscanf(fields[0], "%d", &e.Proc); err != nil || e.Proc < 0 {
+			return nil, fmt.Errorf("trace: line %d: bad processor: %q", lineNo, line)
+		}
+		kind = fields[1]
+		if len(kind) != 1 {
+			return nil, fmt.Errorf("trace: line %d: bad kind %q", lineNo, kind)
+		}
+		e.Kind = Kind(kind[0])
+		used := 3
+		switch e.Kind {
+		case Read, ReadEx, Lock, Atomic:
+			if _, err := fmt.Sscanf(fields[2], "%d", &e.Addr); err != nil {
+				return nil, fmt.Errorf("trace: line %d: bad address: %q", lineNo, line)
+			}
+		case Write, Unlock:
+			if len(fields) < 4 {
+				return nil, fmt.Errorf("trace: line %d: write needs a value: %q", lineNo, line)
+			}
+			if _, err := fmt.Sscanf(fields[2], "%d", &e.Addr); err != nil {
+				return nil, fmt.Errorf("trace: line %d: bad address: %q", lineNo, line)
+			}
+			if _, err := fmt.Sscanf(fields[3], "%d", &e.Value); err != nil {
+				return nil, fmt.Errorf("trace: line %d: bad value: %q", lineNo, line)
+			}
+			used = 4
+		case Compute:
+			if _, err := fmt.Sscanf(fields[2], "%d", &e.Cycles); err != nil {
+				return nil, fmt.Errorf("trace: line %d: bad cycle count: %q", lineNo, line)
+			}
+		default:
+			return nil, fmt.Errorf("trace: line %d: unknown kind %q", lineNo, kind)
+		}
+		if len(fields) > used {
+			if len(fields) > used+1 {
+				return nil, fmt.Errorf("trace: line %d: too many fields: %q", lineNo, line)
+			}
+			c, err := interconnect.ParseClass(fields[used])
+			if err != nil {
+				return nil, fmt.Errorf("trace: line %d: %v", lineNo, err)
+			}
+			e.Class = c
+		}
+		t.Events = append(t.Events, e)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }

@@ -5,7 +5,8 @@
 # sim engine, runner worker pool, parallel sweep executor, bus,
 # scheduler queue, serving daemon, single-flight group), the fuzz
 # targets in seed-corpus mode (trace codecs, workload replay, run
-# files, shard absorb, and the simulate and sweep request decoders),
+# files, shard absorb, and the simulate, sweep, check and shard-open
+# request decoders),
 # the differential sim<->mcheck harness,
 # the incremental online checker against the full invariant sweep,
 # the distributed-check differential (a /v1/check sharded across a
@@ -86,7 +87,7 @@ echo "== fuzz targets (seed-corpus mode: f.Add seeds + testdata/fuzz)"
 go test -run 'FuzzTraceBinaryRoundTrip|FuzzTraceTextDecode' ./internal/trace/
 go test -run 'FuzzWorkloadReplay' ./internal/workload/
 go test -run 'FuzzRunFileDecode|FuzzShardAbsorb' ./internal/mcheck/
-go test -run 'FuzzSimulateRequest|FuzzSweepRequest' ./internal/serve/
+go test -run 'FuzzSimulateRequest|FuzzSweepRequest|FuzzCheckRequest' ./internal/serve/
 
 echo "== workload digest golden (13 protocols x 11 generator configs) + blocking-adapter differential"
 go test -run 'TestProgramDigestsGolden|TestDirectMatchesShim|TestBuildMatchesProgramsOnTwoTier' ./internal/workload/
