@@ -243,8 +243,9 @@ func BenchmarkEngineMixedReferences(b *testing.B) {
 // BenchmarkSimEngine measures the engine core: simulated operations
 // per real second with Program workloads pulled inline by the event
 // loop — no goroutine, channel handshake, or scheduler park/unpark per
-// operation. BENCH_sim.json (via cmd/cachesim -bench-json) gates
-// regressions on these numbers.
+// operation. TestBaselineCounts pins the final cycles of the mixed
+// runs and of lock/bitar (BENCH_sim.json); bench/'s engine workload
+// times the engine end to end.
 func BenchmarkSimEngine(b *testing.B) {
 	const procs, ops = 8, 2000
 	mixed := workload.Mixed{Ops: ops, SharedBlocks: 8, PrivBlocks: 24,

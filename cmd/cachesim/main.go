@@ -187,12 +187,6 @@ func finish(w, ew io.Writer, res *runner.Result) int {
 
 func main() {
 	flag.Parse()
-	if *simBenchJSON != "" {
-		os.Exit(runSimBench(*simBenchJSON))
-	}
-	if *aqBenchJSON != "" {
-		os.Exit(runAquariusBench(*aqBenchJSON))
-	}
 	if *list {
 		for _, n := range cachesync.Protocols() {
 			fmt.Println(n)

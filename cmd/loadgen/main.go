@@ -16,13 +16,12 @@
 //     demand), the only acceptable non-2xx is a clean 429 from the
 //     admission gate — a 5xx, a hang, or a connection error fails.
 //
-// -out writes the results as a committed baseline (BENCH_serve.json);
-// with an existing baseline, -gate F fails the run when achieved
-// throughput drops below F × the baseline's (mirroring the
-// BENCH_mcheck.json regression gate). -update rewrites the baseline.
+// The main phase must also complete at least 0.3 × -rate requests per
+// second: a server, or a fleet, that serves less than that of the
+// offered load fails the run however well it answers.
 // -selfhost embeds the daemon in-process on 127.0.0.1:0, so the
-// benchmark needs no process management; -smoke is the one-shot
-// health probe verify.sh uses against an externally started daemon.
+// run needs no process management; -smoke is the one-shot health
+// probe verify.sh uses against an externally started daemon.
 //
 // Fleet runs: -addr takes a comma-separated target list (client-side
 // round-robin), or point a single -addr/-portfile at a cachesyncc
@@ -31,8 +30,7 @@
 // the kill window separately — the run still demands zero responses
 // that are neither 2xx nor clean 429, and -chaos-recover additionally
 // requires the coordinator to report the fleet fully healthy again.
-// X-Cache headers are tallied into a fleet cache-hit ratio
-// (BENCH_cluster.json's cluster section).
+// X-Cache headers are tallied into a fleet cache-hit ratio.
 package main
 
 import (
@@ -42,11 +40,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,9 +72,6 @@ var (
 	smoke       = flag.Bool("smoke", false, "one-shot probe: /healthz, one simulate, one check; then exit")
 	smokePprof  = flag.Bool("expect-pprof", false, "with -smoke, also require GET /debug/pprof/cmdline to answer 200 (daemon started with -pprof)")
 	wait        = flag.Duration("wait", 15*time.Second, "how long -portfile/-smoke wait for the daemon")
-	outFile     = flag.String("out", "", "benchmark baseline file (written if absent, gated if present)")
-	gate        = flag.Float64("gate", 0.3, "fail when throughput < gate × baseline throughput")
-	update      = flag.Bool("update", false, "rewrite the baseline even if it exists")
 	retries     = flag.Int("retries", 2, "main-phase retries of a 429, honoring the server's Retry-After hint plus jitter (0 = report the 429 as-is)")
 	warmup      = flag.Duration("warmup", 0, "fire the request mix unmeasured for this long before phase 1")
 	chaosKill   = flag.String("chaos-kill", "", "pidfile of a replica to SIGKILL mid-run (fleet chaos; the run still demands zero non-2xx/non-429)")
@@ -85,55 +80,38 @@ var (
 	chaosWait   = flag.Bool("chaos-recover", false, "after phase 1, require the target's /healthz to report every replica healthy again (coordinator respawn)")
 )
 
-// bench is the BENCH_serve.json schema.
-type bench struct {
-	Updated       string  `json:"updated"`
-	Go            string  `json:"go"`
-	Gate          float64 `json:"gate"`
-	Profile       string  `json:"profile,omitempty"`
-	RateRPS       float64 `json:"rate_rps"`
-	DurationS     float64 `json:"duration_s"`
-	Requests      int     `json:"requests"`
-	OK            int     `json:"ok"`
-	Non2xx        int     `json:"non2xx"`
-	ClientSkipped int     `json:"client_skipped"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	P50MS         float64 `json:"p50_ms"`
-	P90MS         float64 `json:"p90_ms"`
-	P99MS         float64 `json:"p99_ms"`
-	Retried       int     `json:"retried,omitempty"` // requests that needed a Retry-After-honoring retry
-	Overload      *obench `json:"overload,omitempty"`
-	Cluster       *cbench `json:"cluster,omitempty"`
-	Chaos         *chaosb `json:"chaos,omitempty"`
-}
+// minThroughput is the least main-phase throughput a run accepts, as
+// a fraction of the offered -rate.
+const minThroughput = 0.3
+
+// overloadFactor is the overload phase's rate as a multiple of -rate.
+const overloadFactor = 16
 
 // obench summarizes the overload phase.
 type obench struct {
-	Requests int `json:"requests"`
-	OK       int `json:"ok"`
-	Shed     int `json:"shed"`  // clean 429s
-	Other    int `json:"other"` // anything else: must be zero
+	Requests int
+	OK       int
+	Shed     int // clean 429s
+	Other    int // anything else: must be zero
 }
 
 // cbench is the fleet cache view, computed from X-Cache headers.
 type cbench struct {
-	Targets   int     `json:"targets"`
-	Hits      int     `json:"hits"`
-	Coalesced int     `json:"coalesced"`
-	Misses    int     `json:"misses"`
-	HitRatio  float64 `json:"hit_ratio"` // hits / (hits + misses)
+	Hits      int
+	Coalesced int
+	Misses    int
+	HitRatio  float64 // hits / (hits + misses)
 }
 
 // chaosb summarizes the replica-kill window: requests in flight while
 // a fleet member was dead must still come back 2xx or clean 429.
 type chaosb struct {
-	KillAtS   float64 `json:"kill_at_s"`
-	WindowS   float64 `json:"window_s"`
-	Requests  int     `json:"requests"`
-	OK        int     `json:"ok"`
-	Shed      int     `json:"shed"`
-	Other     int     `json:"other"` // must be zero
-	Recovered bool    `json:"recovered,omitempty"`
+	KillAtS   float64
+	Requests  int
+	OK        int
+	Shed      int
+	Other     int // must be zero
+	Recovered bool
 }
 
 type result struct {
@@ -271,15 +249,14 @@ func (l *lockedRand) durn(max time.Duration) time.Duration {
 	return time.Duration(l.r.Int63n(int64(max)))
 }
 
-// phase fires requests open-loop at rps for dur, capping outstanding
-// requests at conc (ticks beyond the cap are counted, not sent — a
-// client-side saturation signal, not a server verdict). heavy selects
-// the overload mix. Request indices start at off so phases draw
-// different slices of the rotation. Multiple bases are rotated
-// per-request (client-side load balancing across targets).
-func phase(client *http.Client, bases []string, rps float64, dur time.Duration, conc int, off int, heavy bool) ([]result, int) {
-	interval := time.Duration(float64(time.Second) / rps)
-	ticker := time.NewTicker(interval)
+// phase fires requests open-loop, one per tick of every, for dur,
+// capping outstanding requests at conc (ticks beyond the cap are
+// counted, not sent — a client-side saturation signal, not a server
+// verdict). heavy selects the overload mix. Request indices start at
+// off so phases draw different slices of the rotation. Multiple bases
+// are rotated per-request (client-side load balancing across targets).
+func phase(client *http.Client, bases []string, every, dur time.Duration, conc int, off int, heavy bool) ([]result, int) {
+	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	deadline := time.After(dur)
 
@@ -475,7 +452,40 @@ func runSmoke(client *http.Client, base string) error {
 	return nil
 }
 
+// phaseTicks checks, before any phase starts, the flags the phases run
+// with, and returns the arrival interval of the main phase and, with
+// -overload, of the overload phase. Every rate a phase runs at must
+// have a tick interval that is a positive time.Duration, and -conc
+// must let at least one request be in flight.
+func phaseTicks(rate float64, conc int, overload bool) (every, overEvery time.Duration, err error) {
+	if conc < 1 {
+		return 0, 0, fmt.Errorf("-conc %d: at least 1 request must be allowed in flight", conc)
+	}
+	if every, err = tick(rate); err != nil {
+		return 0, 0, fmt.Errorf("-rate %g: %w", rate, err)
+	}
+	if overload {
+		if overEvery, err = tick(overloadFactor * rate); err != nil {
+			return 0, 0, fmt.Errorf("-rate %g: the overload phase's %d× rate: %w", rate, overloadFactor, err)
+		}
+	}
+	return every, overEvery, nil
+}
+
+// tick is the interval between arrivals at rps requests per second.
+func tick(rps float64) (time.Duration, error) {
+	ns := float64(time.Second) / rps
+	if !(ns >= 1 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("tick interval of %g ns is not a positive duration", ns)
+	}
+	return time.Duration(ns), nil
+}
+
 func run() error {
+	every, overEvery, err := phaseTicks(*rate, *conc, *overload)
+	if err != nil {
+		return err
+	}
 	bases, stop, err := resolveBases()
 	if err != nil {
 		return err
@@ -499,7 +509,7 @@ func run() error {
 
 	if *warmup > 0 {
 		fmt.Printf("warmup: %v of the mix, unmeasured\n", *warmup)
-		_, _ = phase(client, bases, *rate, *warmup, *conc, 200_000, false)
+		_, _ = phase(client, bases, every, *warmup, *conc, 200_000, false)
 	}
 	var killedAt func() time.Time
 	if *chaosKill != "" {
@@ -512,11 +522,11 @@ func run() error {
 	// drop a request.
 	fmt.Printf("phase 1: open loop at %.0f req/s for %v against %s\n", *rate, *duration, strings.Join(bases, ","))
 	t0 := time.Now()
-	results, skipped := phase(client, bases, *rate, *duration, *conc, 0, false)
+	results, skipped := phase(client, bases, every, *duration, *conc, 0, false)
 	elapsed := time.Since(t0)
 
 	var lat stats.Histogram
-	cb := &cbench{Targets: len(bases)}
+	cb := &cbench{}
 	ok, bad, shed, retried, tagged := 0, 0, 0, 0, 0
 	for _, r := range results {
 		if r.retried {
@@ -547,22 +557,10 @@ func run() error {
 	if cb.Hits+cb.Misses > 0 {
 		cb.HitRatio = float64(cb.Hits) / float64(cb.Hits+cb.Misses)
 	}
-	b := bench{
-		Updated: time.Now().UTC().Format(time.RFC3339),
-		Go:      runtime.Version(),
-		Gate:    *gate, Profile: *profile, RateRPS: *rate, DurationS: elapsed.Seconds(),
-		Requests: len(results), OK: ok, Non2xx: bad + shed, ClientSkipped: skipped,
-		ThroughputRPS: float64(ok) / elapsed.Seconds(),
-		P50MS:         float64(lat.Percentile(50)) / 1000,
-		P90MS:         float64(lat.Percentile(90)) / 1000,
-		P99MS:         float64(lat.Percentile(99)) / 1000,
-		Retried:       retried,
-	}
-	if tagged > 0 {
-		b.Cluster = cb
-	}
+	throughput := float64(ok) / elapsed.Seconds()
 	fmt.Printf("phase 1: %d requests, %d ok, %d non-2xx, %d client-skipped; %.1f req/s; p50=%.1fms p90=%.1fms p99=%.1fms\n",
-		b.Requests, b.OK, b.Non2xx, b.ClientSkipped, b.ThroughputRPS, b.P50MS, b.P90MS, b.P99MS)
+		len(results), ok, bad+shed, skipped, throughput, float64(lat.Percentile(50))/1000,
+		float64(lat.Percentile(90))/1000, float64(lat.Percentile(99))/1000)
 	if tagged > 0 {
 		fmt.Printf("phase 1: fleet cache: %d hit, %d coalesced, %d miss (hit ratio %.2f); %d retried\n",
 			cb.Hits, cb.Coalesced, cb.Misses, cb.HitRatio, retried)
@@ -570,8 +568,9 @@ func run() error {
 	if bad > 0 {
 		return fmt.Errorf("%d non-2xx responses below the admission limit", bad)
 	}
-	if ok == 0 {
-		return fmt.Errorf("no successful requests in phase 1")
+	if floor := minThroughput * *rate; throughput < floor {
+		return fmt.Errorf("phase 1 completed %.1f req/s, below the floor of %.1f req/s (%.1f × the offered %.1f)",
+			throughput, floor, minThroughput, *rate)
 	}
 
 	if *chaosKill != "" {
@@ -582,7 +581,7 @@ func run() error {
 		if ka.IsZero() {
 			return fmt.Errorf("chaos kill never fired (pidfile %s)", *chaosKill)
 		}
-		ch := &chaosb{KillAtS: ka.Sub(t0).Seconds(), WindowS: chaosDur.Seconds()}
+		ch := &chaosb{KillAtS: ka.Sub(t0).Seconds()}
 		for _, r := range results {
 			if r.at.Before(ka) || r.at.After(ka.Add(*chaosDur)) {
 				continue
@@ -600,7 +599,6 @@ func run() error {
 		if *chaosWait {
 			ch.Recovered = waitRecovered(client, bases[0], *wait)
 		}
-		b.Chaos = ch
 		fmt.Printf("chaos: kill at +%.2fs; window: %d requests, %d ok, %d shed, %d other; recovered=%v\n",
 			ch.KillAtS, ch.Requests, ch.OK, ch.Shed, ch.Other, ch.Recovered)
 		if ch.Other > 0 {
@@ -617,9 +615,8 @@ func run() error {
 	// Phase 2: deliberate overload — heavy requests at high rate. The
 	// only acceptable outcome per request is success or a clean 429.
 	if *overload {
-		orate := *rate * 16
-		fmt.Printf("phase 2: overload at %.0f req/s (unique heavy simulations) for 1.5s\n", orate)
-		oresults, _ := phase(client, bases, orate, 1500*time.Millisecond, *conc, 100_000, true)
+		fmt.Printf("phase 2: overload at %.0f req/s (unique heavy simulations) for 1.5s\n", overloadFactor**rate)
+		oresults, _ := phase(client, bases, overEvery, 1500*time.Millisecond, *conc, 100_000, true)
 		ob := &obench{Requests: len(oresults)}
 		for _, r := range oresults {
 			switch {
@@ -632,7 +629,6 @@ func run() error {
 				fmt.Fprintf(os.Stderr, "overload non-429 failure: code=%d err=%v\n", r.code, r.err)
 			}
 		}
-		b.Overload = ob
 		fmt.Printf("phase 2: %d requests, %d ok, %d shed (429), %d other\n",
 			ob.Requests, ob.OK, ob.Shed, ob.Other)
 		if ob.Other > 0 {
@@ -646,30 +642,6 @@ func run() error {
 		}
 	}
 
-	if *outFile == "" {
-		return nil
-	}
-	if old, err := os.ReadFile(*outFile); err == nil && !*update {
-		var prev bench
-		if err := json.Unmarshal(old, &prev); err != nil {
-			return fmt.Errorf("baseline %s: %v", *outFile, err)
-		}
-		floor := prev.ThroughputRPS * *gate
-		fmt.Printf("gate: achieved %.1f req/s vs baseline %.1f req/s (floor %.1f at gate %.2f)\n",
-			b.ThroughputRPS, prev.ThroughputRPS, floor, *gate)
-		if b.ThroughputRPS < floor {
-			return fmt.Errorf("throughput regression: %.1f req/s < %.1f req/s floor", b.ThroughputRPS, floor)
-		}
-		return nil
-	}
-	buf, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*outFile, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote baseline %s\n", *outFile)
 	return nil
 }
 

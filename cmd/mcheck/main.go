@@ -50,10 +50,6 @@ var (
 	resume    = flag.Bool("resume", false, "with -checkpoint: resume the directory's checkpoint if one exists, start fresh otherwise")
 	progress  = flag.Bool("progress", false, "report per-level progress on stderr: states/s plus visited-set bytes in RAM vs spilled runs")
 	outFile   = flag.String("out", "", "also write the JSON summaries to this file (atomic rename; timing fields zeroed so reruns compare byte-for-byte)")
-
-	benchJSON   = flag.String("bench-json", "", "run the fixed perf suite and gate against this baseline file (created when absent)")
-	benchGate   = flag.Float64("bench-gate", 0.7, "with -bench-json: fail when states/s falls below this fraction of the baseline")
-	benchUpdate = flag.Bool("bench-update", false, "with -bench-json: rewrite the baseline with this run's numbers")
 )
 
 // summary is the JSON shape of one checker run.
@@ -78,10 +74,6 @@ func main() {
 			fmt.Printf("  %s\n", n)
 		}
 		return
-	}
-
-	if *benchJSON != "" {
-		os.Exit(runBench(*benchJSON))
 	}
 
 	names := protocol.Names()

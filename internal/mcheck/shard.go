@@ -196,7 +196,8 @@ type ShardSession struct {
 
 	// seq counts absorbed levels; transitions counts the transitions
 	// expanded through level seq, and pending those of the last Expand,
-	// committed by the Absorb that follows it.
+	// committed by the Absorb that follows it (-1: no Expand since the
+	// last Absorb or since Open).
 	seq, transitions, pending int64
 
 	// Checkpointing (checkpoint.go): with ck set, the session
@@ -257,7 +258,7 @@ func NewShardSession(opts Options, self, total int) (*ShardSession, error) {
 
 // newSession builds a session from validated options.
 func newSession(o Options, self, total, porBlock int) *ShardSession {
-	s := &ShardSession{o: o, self: self, total: total, porBlock: porBlock}
+	s := &ShardSession{o: o, self: self, total: total, porBlock: porBlock, pending: -1}
 	for range o.Workers {
 		m := newMachine(o)
 		s.workers = append(s.workers, &expandWorker{
@@ -429,7 +430,7 @@ func (w *expandWorker) expand(s *ShardSession, ctx context.Context, cursor *int6
 		m.restoreKey(enc)
 		dirty := false
 		for j, a := range m.actions() {
-			if s.porBlock >= 0 && a.Block != uint64(s.porBlock) {
+			if !s.expands(a) {
 				continue
 			}
 			if dirty {
@@ -482,6 +483,28 @@ func (w *expandWorker) expand(s *ShardSession, ctx context.Context, cursor *int6
 	}
 }
 
+// expands reports whether the session's Expand takes action a: every
+// action, or in a POR sub-run only its block's.
+func (s *ShardSession) expands(a Action) bool {
+	return s.porBlock < 0 || a.Block == uint64(s.porBlock)
+}
+
+// frontierTransitions counts the transitions an Expand of the current
+// frontier takes, without stepping any of them.
+func (s *ShardSession) frontierTransitions() int64 {
+	m := s.workers[0].m
+	var n int64
+	for _, id := range s.front {
+		m.restoreKey(s.st.key(id))
+		for _, a := range m.actions() {
+			if s.expands(a) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Absorb folds the level's candidates owned by this session into its
 // visited slice: per state the least-ordinal discoverer wins, new
 // states insert in (table shard, key) order, and they become the next
@@ -501,6 +524,11 @@ func (s *ShardSession) Absorb(seq int64, cands []WireCand) (*ShardAbsorbReply, e
 	}
 	if seq != s.seq+1 {
 		return nil, fmt.Errorf("mcheck: shard %d: absorb seq %d, session at %d", s.self, seq, s.seq)
+	}
+	if s.pending < 0 {
+		// The level was expanded before this session was opened: a
+		// coordinator re-dispatched it between Expand and Absorb.
+		s.pending = s.frontierTransitions()
 	}
 	hs := s.hashes[:0]
 	var bounds [shardCount + 1]int // bounds[ts+1]: candidates in table shards ≤ ts
@@ -594,7 +622,7 @@ func (s *ShardSession) Absorb(seq int64, cands []WireCand) (*ShardAbsorbReply, e
 	}
 	s.seq = seq
 	s.transitions += s.pending
-	s.pending = 0
+	s.pending = -1
 	// Seal over-budget shards now that the frontier boundary is known,
 	// then checkpoint the level; without a checkpoint, compacted-away
 	// runs are dropped at once.

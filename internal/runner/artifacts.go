@@ -74,9 +74,8 @@ func ReadArtifacts(path string) (*ArtifactFile, error) {
 }
 
 // Gate diffs a run against a committed baseline manifest, writing one
-// line per job to w (mirroring the BENCH_mcheck.json gate's report
-// style). It returns the number of divergences: drifted output,
-// failed pass verdict, or a baseline job missing from the run. New
+// line per job to w. It returns the number of divergences: drifted
+// output, failed pass verdict, or a baseline job missing from the run. New
 // jobs absent from the baseline are reported but do not fail the
 // gate — committing the refreshed manifest adopts them.
 func Gate(w io.Writer, baseline *ArtifactFile, run *Result) int {

@@ -12,8 +12,7 @@
 //     and configuration are unchanged;
 //  3. gating — results serialize to a JSON artifact file with per-job
 //     wall-clock and output hashes, diffable against a committed
-//     baseline (ARTIFACTS.json), extending the BENCH_mcheck.json
-//     perf-gate pattern to the whole experiment suite.
+//     baseline (ARTIFACTS.json) for the whole experiment suite.
 package runner
 
 import (

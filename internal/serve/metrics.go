@@ -9,9 +9,8 @@ import (
 	"time"
 )
 
-// routeStat accumulates one route's request count and latency — the
-// per-route view the cluster router and BENCH_cluster read to compute
-// fleet hit ratios and route-level latencies without parsing bodies.
+// routeStat accumulates one route's request count and latency, which
+// /metrics renders as per-route counters and latency sums.
 type routeStat struct {
 	count  int64
 	micros int64

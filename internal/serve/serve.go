@@ -415,8 +415,8 @@ func (s *Server) execute(ctx context.Context, jb *jobRec, kind, key string,
 // xcache is the X-Cache response-header value for an execution: "hit"
 // (served from the result cache — local disk or a fleet peer),
 // "coalesced" (shared another in-flight request's execution), or
-// "miss" (executed fresh). The cluster router and BENCH_cluster read
-// this header to measure fleet hit ratio without parsing bodies.
+// "miss" (executed fresh). The cluster router relays this header and
+// loadgen tallies it into a fleet hit ratio without parsing bodies.
 func (m execMeta) xcache() string {
 	switch {
 	case m.cached:

@@ -277,7 +277,21 @@ func scanInt(f []byte) (int64, bool) {
 // of the event's value — storing a nonzero value would leave the lock
 // held and every waiter spinning.
 func (t *Trace) Programs(procs int, scheme syncprim.Scheme) []sim.Program {
+	// Count each processor's events, then carve every stream from one
+	// slice, so that no append below grows a stream.
+	counts := make([]int, procs)
+	n := 0
+	for _, e := range t.Events {
+		if e.Proc < procs {
+			counts[e.Proc]++
+			n++
+		}
+	}
+	all := make([]Event, n)
 	rs := make([]replay, procs)
+	for i, k := range counts {
+		rs[i].evs, all = all[:0:k], all[k:]
+	}
 	for _, e := range t.Events {
 		if e.Proc < procs {
 			rs[e.Proc].evs = append(rs[e.Proc].evs, e)

@@ -13,6 +13,7 @@ import (
 	"cachesync/internal/core"
 	"cachesync/internal/interconnect"
 	"cachesync/internal/sim"
+	"cachesync/internal/syncprim"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -157,6 +158,22 @@ func TestDecodeAllocsPerLine(t *testing.T) {
 	t.Logf("allocs: %d lines %.0f, %d lines %.0f, %.5f per extra line", shortLines, short, longLines, long, perLine)
 	if perLine > 0.01 {
 		t.Fatalf("Decode made %.5f allocations per extra line (limit 0.01): the per-line path is allocating", perLine)
+	}
+}
+
+// TestProgramsAllocsFlat: Programs partitions the events into
+// per-processor streams with a fixed number of allocations, however
+// many events the trace holds.
+func TestProgramsAllocsFlat(t *testing.T) {
+	allocs := func(events int) float64 {
+		tr := &Trace{}
+		for i := 0; i < events; i++ {
+			tr.Events = append(tr.Events, Event{Proc: i % 8, Kind: Read, Addr: addr.Addr(i) * 4})
+		}
+		return testing.AllocsPerRun(5, func() { tr.Programs(8, syncprim.CacheLock) })
+	}
+	if short, long := allocs(1_000), allocs(16_000); short != long {
+		t.Fatalf("Programs made %.0f allocations for 1,000 events and %.0f for 16,000", short, long)
 	}
 }
 

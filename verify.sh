@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repository verification: formatting, static checks, the full test
-# suite, race-detector passes over every internally concurrent path
+# suite, the bench/ module's vet and tests, race-detector passes over
+# every internally concurrent path
 # (model-checker BFS, partial-order reduction, sharded exploration,
 # sim engine, runner worker pool, parallel sweep executor, bus,
 # scheduler queue, serving daemon, single-flight group), the fuzz
@@ -24,13 +25,17 @@
 # and the blocking-adapter differential, a live
 # cachesyncd smoke (start, probe — including the -pprof diagnostic
 # mount — graceful stop), the steady-state allocation gate of the
-# engine, and the six committed-baseline gates
-# (mcheck perf, sim-engine ops/s, two-tier Aquarius cycles+broadcast
-# fraction, artifact manifest, serving
-# throughput, and cluster throughput — the last driven through a
-# 3-replica cachesyncc fleet with a mid-run replica SIGKILL that must
-# produce zero responses other than 2xx/clean-429, plus respawn and
-# re-admission to full health).
+# engine, the baseline-counts golden (every cycle, broadcast, state,
+# transition and spill count in BENCH_sim.json, BENCH_aquarius.json
+# and BENCH_mcheck.json, exact on any host), the artifact manifest
+# gate, one wall-clock check (the disk-backed exploration holds half
+# its in-RAM sibling's states/s, both measured in one process), and
+# the serving and cluster load runs: every request 2xx below the
+# admission limit, only clean 429s under overload, at least 0.3× the
+# offered rate completed — the cluster run through a 3-replica
+# cachesyncc fleet with a mid-run replica SIGKILL that must produce
+# zero responses other than 2xx/clean-429, plus respawn and
+# re-admission to full health.
 set -eu
 cd "$(dirname "$0")"
 
@@ -50,6 +55,10 @@ go build ./...
 
 echo "== go test"
 go test ./...
+
+echo "== bench module (its own go.mod, so go test ./... does not build it)"
+go -C bench vet ./...
+go -C bench test ./...
 
 echo "== go test -race (mcheck + sim smoke)"
 go test -race -short -run 'TestSmokeAllProtocols|TestDeterministicAcrossWorkers|TestSymmetryEquivalence|TestDeterministicWorkersMutant|TestPOREquivalence|TestPORMutant|TestShardedEquivalence|TestShardedTruncation|TestShardedRejectsPOR|TestSpillEquivalence|TestPORSpillBudget|TestKillResumeByteIdentical|TestKillResumePOR|TestShardSessionCheckpointResume|TestShardedHonorsCancel' ./internal/mcheck/
@@ -96,12 +105,11 @@ go test -run 'TestWorkloadsMatchPrograms' ./internal/trace/
 echo "== steady-state allocation gate (0 allocs/op in the sim hot loop)"
 go test -run 'TestSimSteadyStateAllocs' .
 
-echo "== benchmark-regression gate"
-if [ -f BENCH_mcheck.json ]; then
-	go run ./cmd/mcheck -bench-json BENCH_mcheck.json -bench-gate 0.5
-else
-	echo "no BENCH_mcheck.json baseline; skipping (create one with: go run ./cmd/mcheck -bench-json BENCH_mcheck.json)"
-fi
+echo "== baseline-counts golden (BENCH_sim, BENCH_aquarius and BENCH_mcheck counts, exact)"
+go test -run 'TestBaselineCounts' .
+
+echo "== wall-clock check (spill run at least 0.5x its in-RAM sibling's states/s)"
+go test -run '^$' -bench 'BenchmarkSpillVsRAM' -benchtime 1x .
 
 echo "== mcheck kill-and-resume smoke + deep-check gate"
 mctmp=$(mktemp -d)
@@ -140,20 +148,6 @@ else
 fi
 rm -rf "$mctmp"
 
-echo "== sim-engine benchmark gate (direct-execution ops/s)"
-if [ -f BENCH_sim.json ]; then
-	go run ./cmd/cachesim -bench-json BENCH_sim.json -bench-gate 0.7
-else
-	echo "no BENCH_sim.json baseline; skipping (create one with: go run ./cmd/cachesim -bench-json BENCH_sim.json)"
-fi
-
-echo "== two-tier Aquarius benchmark gate (cycles + broadcast fraction exact, ops/s)"
-if [ -f BENCH_aquarius.json ]; then
-	go run ./cmd/cachesim -bench-aquarius BENCH_aquarius.json -bench-gate 0.7
-else
-	echo "no BENCH_aquarius.json baseline; skipping (create one with: go run ./cmd/cachesim -bench-aquarius BENCH_aquarius.json)"
-fi
-
 echo "== artifact gate (tables/experiments/figures manifest)"
 if [ -f ARTIFACTS.json ]; then
 	go run ./cmd/tables -gate ARTIFACTS.json
@@ -182,39 +176,29 @@ if ! wait "$dpid"; then
 fi
 echo "cachesyncd: clean start/probe/drain/stop"
 
-echo "== serving benchmark gate (open-loop load + overload shedding)"
-if [ -f BENCH_serve.json ]; then
-	go run ./cmd/loadgen -selfhost -workers 2 -queue 8 -rate 25 -duration 2s \
-		-require-shed -out BENCH_serve.json -gate 0.3
-else
-	echo "no BENCH_serve.json baseline; skipping (create one with: go run ./cmd/loadgen -selfhost -workers 2 -queue 8 -rate 25 -duration 3s -require-shed -out BENCH_serve.json -update)"
-fi
+echo "== serving load run (open-loop SLO, 0.3x rate floor, overload shedding)"
+"$smoketmp/loadgen" -selfhost -workers 2 -queue 8 -rate 25 -duration 2s -require-shed
 
-echo "== cluster benchmark gate (3-replica fleet, artifact exchange, chaos kill)"
-if [ -f BENCH_cluster.json ]; then
-	go build -o "$smoketmp/cachesyncc" ./cmd/cachesyncc
-	fleet="$smoketmp/fleet"
-	"$smoketmp/cachesyncc" -replicas 3 -workers 1 -queue 16 -dir "$fleet" \
-		-addr 127.0.0.1:0 -portfile "$smoketmp/ccport" >"$smoketmp/cc.log" 2>&1 &
-	cpid=$!
-	if ! "$smoketmp/loadgen" -portfile "$smoketmp/ccport" -rate 60 -duration 2s \
-		-warmup 500ms -overload=false \
-		-chaos-kill "$fleet/r1.pid" -chaos-at 500ms -chaos-recover \
-		-out BENCH_cluster.json -gate 0.3; then
-		echo "cluster benchmark failed; coordinator log:" >&2
-		cat "$smoketmp/cc.log" >&2
-		kill "$cpid" 2>/dev/null || true
-		exit 1
-	fi
-	kill -TERM "$cpid"
-	if ! wait "$cpid"; then
-		echo "cachesyncc did not exit cleanly on SIGTERM; log:" >&2
-		cat "$smoketmp/cc.log" >&2
-		exit 1
-	fi
-	echo "cachesyncc: fleet served through a replica kill, respawn, and re-admission"
-else
-	echo "no BENCH_cluster.json baseline; skipping (create one with the same command plus -update)"
+echo "== cluster load run (3-replica fleet, artifact exchange, chaos kill, 0.3x rate floor)"
+go build -o "$smoketmp/cachesyncc" ./cmd/cachesyncc
+fleet="$smoketmp/fleet"
+"$smoketmp/cachesyncc" -replicas 3 -workers 1 -queue 16 -dir "$fleet" \
+	-addr 127.0.0.1:0 -portfile "$smoketmp/ccport" >"$smoketmp/cc.log" 2>&1 &
+cpid=$!
+if ! "$smoketmp/loadgen" -portfile "$smoketmp/ccport" -rate 60 -duration 2s \
+	-warmup 500ms -overload=false \
+	-chaos-kill "$fleet/r1.pid" -chaos-at 500ms -chaos-recover; then
+	echo "cluster load run failed; coordinator log:" >&2
+	cat "$smoketmp/cc.log" >&2
+	kill "$cpid" 2>/dev/null || true
+	exit 1
 fi
+kill -TERM "$cpid"
+if ! wait "$cpid"; then
+	echo "cachesyncc did not exit cleanly on SIGTERM; log:" >&2
+	cat "$smoketmp/cc.log" >&2
+	exit 1
+fi
+echo "cachesyncc: fleet served through a replica kill, respawn, and re-admission"
 
 echo "verify: OK"
