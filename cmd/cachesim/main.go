@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"cachesync"
@@ -55,51 +54,15 @@ var (
 	sweepProcs = flag.String("sweep-procs", "", "processor counts to sweep, e.g. 2..8 or 1,2,4,8: run every selected protocol at each count on the in-process parallel cell executor (width -j), output merged in cell order")
 	tiers      = flag.Int("tiers", 1, "memory tiers: 1 = classic one-bus system, 2 = routed two-tier Aquarius machine (sync bus + crossbar)")
 	remoteCyc  = flag.Int("remote-cycles", 0, "with -tiers 2, one-way latency to a disaggregated lower tier (0 = local crossbar)")
-	sweepRem   = flag.String("sweep-remote", "", "remote-latency values to sweep with -tiers 2, e.g. 0,16,64,256 (same cell executor as -sweep-procs; axes cross)")
+	sweepRem   = flag.String("sweep-remote", "", "remote-latency values to sweep with -tiers 2, e.g. 0,16,64,256 or 0..4 (same cell executor as -sweep-procs; axes cross)")
 )
 
-// parseProcCounts accepts "a..b" ranges and comma lists.
-func parseProcCounts(spec string) ([]int, error) {
-	if lo, hi, ok := strings.Cut(spec, ".."); ok {
-		a, err1 := strconv.Atoi(strings.TrimSpace(lo))
-		b, err2 := strconv.Atoi(strings.TrimSpace(hi))
-		if err1 != nil || err2 != nil || a < 1 || b < a {
-			return nil, fmt.Errorf("bad -sweep-procs range %q", spec)
-		}
-		var out []int
-		for n := a; n <= b; n++ {
-			out = append(out, n)
-		}
-		return out, nil
-	}
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -sweep-procs entry %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// runSweep fans protos × counts × remote latencies over the
-// in-process parallel cell executor. Cells merge in submission order,
-// so the printed output is byte-identical to a sequential loop at any
-// worker count.
+// runSweep fans protos × counts × remote latencies (simrun.Expand)
+// over the in-process parallel cell executor. Cells merge in
+// submission order, so the printed output is byte-identical to a
+// sequential loop at any worker count.
 func runSweep(base simrun.Config, protos []string, counts, remotes []int) int {
-	var cfgs []simrun.Config
-	for _, p := range protos {
-		for _, n := range counts {
-			for _, r := range remotes {
-				cfg := base
-				cfg.Protocol = p
-				cfg.Procs = n
-				cfg.RemoteCycles = r
-				cfgs = append(cfgs, cfg.Normalize())
-			}
-		}
-	}
+	cfgs := simrun.Expand(base, protos, counts, remotes)
 	pass := true
 	err := simrun.RunCells(context.Background(), cfgs, *workers, func(i int, res simrun.Result) {
 		hdr := fmt.Sprintf("%s procs=%d", cfgs[i].Protocol, cfgs[i].Procs)
@@ -118,19 +81,6 @@ func runSweep(base simrun.Config, protos []string, counts, remotes []int) int {
 		return 1
 	}
 	return 0
-}
-
-// parseRemoteCycles accepts a comma list of latencies (0 allowed).
-func parseRemoteCycles(spec string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad -sweep-remote entry %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // runOne executes one configured simulation and renders its report —
@@ -223,22 +173,19 @@ func main() {
 	}
 
 	if *sweepProcs != "" || *sweepRem != "" {
-		counts := []int{base.Procs}
-		if *sweepProcs != "" {
-			var err error
-			if counts, err = parseProcCounts(*sweepProcs); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+		axis := func(flagName, spec string, min, dflt int) []int {
+			if spec == "" {
+				return []int{dflt}
+			}
+			vals, err := runner.ParseList(spec, min)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", flagName, err)
 				os.Exit(2)
 			}
+			return vals
 		}
-		remotes := []int{base.RemoteCycles}
-		if *sweepRem != "" {
-			var err error
-			if remotes, err = parseRemoteCycles(*sweepRem); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		}
+		counts := axis("-sweep-procs", *sweepProcs, 1, base.Procs)
+		remotes := axis("-sweep-remote", *sweepRem, 0, base.RemoteCycles)
 		os.Exit(runSweep(base, protos, counts, remotes))
 	}
 

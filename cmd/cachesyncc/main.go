@@ -5,20 +5,22 @@
 //	go run ./cmd/cachesyncc -replicas 3 -dir /tmp/fleet -addr 127.0.0.1:8345
 //	go run ./cmd/cachesyncc -attach 10.0.0.1:8344,10.0.0.2:8344
 //
-// Requests are routed by consistent-hashing their configuration key,
-// so each replica's single-flight dedup and on-disk result cache see
-// every repeat of "their" configurations instead of a 1/N shard of
-// them. Replicas share a portfile directory and trade cache entries
-// over GET /v1/artifact/{key} (cachesyncd -peerdir), so the fleet
-// behaves as one logical cache. Failed replicas are ejected on health
-// evidence, routed around with bounded backoff, respawned when
-// -respawn is set, and re-admitted — to exactly their old hash range —
-// once probes recover. POST /v1/sweep is sharded across the fleet and
-// merged back in cell order (?stream=1 interleaves the shards' NDJSON
-// progress deterministically). POST /v1/check with "shards": N > 1
-// partitions one model-checking run's state space across the fleet
-// (each replica owns the states that hash to it) and merges a result
-// byte-identical to a single replica's, counterexamples included.
+// Requests are routed by consistent-hashing the key the replica
+// caches them under, so each replica's single-flight dedup and on-disk
+// result cache see every repeat of "their" configurations instead of
+// a 1/N shard of them. Replicas share a portfile directory and trade
+// cache entries over GET /v1/artifact/{key} (cachesyncd -peerdir), so
+// the fleet behaves as one logical cache. Failed replicas are ejected
+// on health evidence, routed around with bounded backoff, respawned
+// when -respawn is set, and re-admitted — to exactly their old hash
+// range — once probes recover. A POST /v1/sweep is one cache entry and
+// goes whole to the replica owning its key, like a simulation;
+// ?async=1 plus GET /v1/jobs/{id} streams its per-cell progress from
+// that replica (job ids are unique across the fleet). POST /v1/check
+// with "shards": N > 1 partitions one model-checking run's state space
+// across the fleet (each replica owns the states that hash to it) and
+// merges a result byte-identical to a single replica's,
+// counterexamples included.
 package main
 
 import (

@@ -10,12 +10,13 @@
 //	curl -d '{"protocol":"bitar","ops":500}' localhost:8344/v1/simulate
 //	curl -d '{"protocol":"bitar","inject":"drop-invalidate"}' localhost:8344/v1/check
 //
-// Requests execute on a bounded worker pool behind an admission queue:
-// overload is shed at the edge with 429 + Retry-After rather than
-// queued without bound. Identical concurrent requests collapse onto
-// one execution (single flight), and -cachedir adds an on-disk result
-// cache shared with the pool, so repeated configurations are answered
-// from disk across restarts. SIGINT/SIGTERM drains gracefully:
+// At most -workers requests execute at once, each on the goroutine
+// holding its admission slot, with -queue more waiting: overload is
+// shed at the edge with 429 + Retry-After rather than queued without
+// bound. Identical concurrent requests collapse onto one execution
+// (single flight), and -cachedir adds an on-disk result cache every
+// execution goes through, so repeated configurations are answered from
+// disk across restarts. SIGINT/SIGTERM drains gracefully:
 // in-flight requests finish, new ones are rejected with 503.
 //
 // -peerdir joins a fleet artifact exchange: daemons sharing the
@@ -109,7 +110,7 @@ func run() error {
 	}
 
 	// Graceful drain: advertise draining (healthz 503, new work 503),
-	// let in-flight requests finish, then stop the pool.
+	// let in-flight requests finish.
 	fmt.Println("cachesyncd: draining")
 	s.StartDrain()
 	sctx, cancel := context.WithTimeout(context.Background(), *grace)

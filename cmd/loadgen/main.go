@@ -17,8 +17,11 @@
 //     admission gate — a 5xx, a hang, or a connection error fails.
 //
 // The main phase must also complete at least 0.3 × -rate requests per
-// second: a server, or a fleet, that serves less than that of the
-// offered load fails the run however well it answers.
+// second, keep its median latency at or under 1 s, and tag every 2xx
+// response with X-Cache: a server, or a fleet, that serves less than
+// that of the offered load, answers a thousand times slower than it
+// should, or returns work it cannot say it cached or computed fails
+// the run however well it answers.
 // -selfhost embeds the daemon in-process on 127.0.0.1:0, so the
 // run needs no process management; -smoke is the one-shot health
 // probe verify.sh uses against an externally started daemon.
@@ -83,6 +86,10 @@ var (
 // minThroughput is the least main-phase throughput a run accepts, as
 // a fraction of the offered -rate.
 const minThroughput = 0.3
+
+// maxMedianLatency is the slowest main-phase median latency a run
+// accepts.
+const maxMedianLatency = time.Second
 
 // overloadFactor is the overload phase's rate as a multiple of -rate.
 const overloadFactor = 16
@@ -527,7 +534,7 @@ func run() error {
 
 	var lat stats.Histogram
 	cb := &cbench{}
-	ok, bad, shed, retried, tagged := 0, 0, 0, 0, 0
+	ok, bad, shed, retried, tagged, untagged := 0, 0, 0, 0, 0, 0
 	for _, r := range results {
 		if r.retried {
 			retried++
@@ -546,6 +553,8 @@ func run() error {
 			case "miss":
 				cb.Misses++
 				tagged++
+			default:
+				untagged++
 			}
 		case r.err == nil && r.code == http.StatusTooManyRequests && *chaosKill != "":
 			shed++
@@ -571,6 +580,12 @@ func run() error {
 	if floor := minThroughput * *rate; throughput < floor {
 		return fmt.Errorf("phase 1 completed %.1f req/s, below the floor of %.1f req/s (%.1f × the offered %.1f)",
 			throughput, floor, minThroughput, *rate)
+	}
+	if p50 := time.Duration(lat.Percentile(50)) * time.Microsecond; p50 > maxMedianLatency {
+		return fmt.Errorf("phase 1 median latency %v, above the ceiling of %v", p50, maxMedianLatency)
+	}
+	if untagged > 0 {
+		return fmt.Errorf("%d of %d 2xx responses carried no X-Cache header", untagged, ok)
 	}
 
 	if *chaosKill != "" {

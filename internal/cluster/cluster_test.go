@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -205,163 +206,191 @@ func TestClusterNoHealthy(t *testing.T) {
 	}
 }
 
-// TestClusterSweepMerge: a sharded sweep returns exactly the points a
-// single replica would, in the same order.
+// postSweep posts a sweep through url and decodes the response.
+func postSweep(t *testing.T, url string, req serve.SweepRequest) (http.Header, serve.SweepResponse) {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(url+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sr serve.SweepResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep via %s: code=%d err=%v", url, resp.StatusCode, err)
+	}
+	return resp.Header, sr
+}
+
+// TestClusterSweepMerge: a sweep is one cache entry, so the router
+// forwards it whole to the replica owning its key. The answer is
+// exactly one replica's points, tagged with who served it and how,
+// and a repeat is a cache hit on the same replica.
 func TestClusterSweepMerge(t *testing.T) {
 	b0, b1 := newBackend(t), newBackend(t)
-	_, ts := newAttachCluster(t, b0.addr, b1.addr)
+	c, ts := newAttachCluster(t, b0.addr, b1.addr)
 
 	req := serve.SweepRequest{Protocols: []string{"bitar", "illinois", "goodman"}, Procs: []int{1, 2}, Ops: 100, Seed: 7}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var merged struct {
-		Pass   bool               `json:"pass"`
-		Shards int                `json:"shards"`
-		Points []serve.SweepPoint `json:"points"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&merged)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("cluster sweep: code=%d err=%v", resp.StatusCode, err)
-	}
-
+	hdr, routed := postSweep(t, ts.URL, req)
 	single := newBackend(t)
-	resp, err = http.Post(single.ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref serve.SweepResponse
-	err = json.NewDecoder(resp.Body).Decode(&ref)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, ref := postSweep(t, single.ts.URL, req)
 
-	if len(merged.Points) != len(ref.Points) {
-		t.Fatalf("merged %d points, single replica %d", len(merged.Points), len(ref.Points))
+	if len(routed.Points) != len(ref.Points) {
+		t.Fatalf("routed %d points, single replica %d", len(routed.Points), len(ref.Points))
 	}
 	for i := range ref.Points {
-		if merged.Points[i] != ref.Points[i] {
-			t.Fatalf("point %d: cluster %+v vs single %+v", i, merged.Points[i], ref.Points[i])
+		if routed.Points[i] != ref.Points[i] {
+			t.Fatalf("point %d: routed %+v vs single %+v", i, routed.Points[i], ref.Points[i])
 		}
 	}
-	if merged.Shards < 2 {
-		t.Fatalf("sweep used %d shards; expected the fleet to split it", merged.Shards)
+	if routed.Pass != ref.Pass {
+		t.Fatalf("routed pass=%v, single replica pass=%v", routed.Pass, ref.Pass)
+	}
+
+	cfgs, err := req.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := c.ring.pick(serve.SweepKey(cfgs))[0]
+	if got := hdr.Get("X-Replica"); got != owner {
+		t.Fatalf("sweep served by %q, want the key's owner %s", got, owner)
+	}
+	if got := hdr.Get("X-Cache"); got != "miss" {
+		t.Fatalf("first sweep X-Cache=%q, want miss", got)
+	}
+	hdr, again := postSweep(t, ts.URL, req)
+	if hdr.Get("X-Cache") != "hit" || hdr.Get("X-Replica") != owner {
+		t.Fatalf("repeat sweep: X-Cache=%q X-Replica=%q, want hit from %s",
+			hdr.Get("X-Cache"), hdr.Get("X-Replica"), owner)
+	}
+	if len(again.Points) != len(ref.Points) || again.Points[0] != ref.Points[0] {
+		t.Fatalf("repeat sweep points %+v differ from %+v", again.Points, ref.Points)
 	}
 }
 
-// TestClusterSweepStream: ?stream=1 interleaves shard events in
-// shard-index order and ends with the merged result line.
+// acceptAsync posts body to path?async=1 through url and returns the
+// job id and the replica that accepted it.
+func acceptAsync(t *testing.T, url, path string, body any) (job, replica string) {
+	t.Helper()
+	buf, _ := json.Marshal(body)
+	resp, err := http.Post(url+path+"?async=1", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var acc struct {
+		Job string `json:"job"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil || resp.StatusCode != http.StatusAccepted || acc.Job == "" {
+		t.Fatalf("async accept: code=%d job=%q err=%v", resp.StatusCode, acc.Job, err)
+	}
+	return acc.Job, resp.Header.Get("X-Replica")
+}
+
+// streamJob follows a job's NDJSON stream through url to its end and
+// returns its events and the replica that served the stream.
+func streamJob(t *testing.T, url, job string) ([]serve.JobEvent, string) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs/" + job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job %s via router: %d", job, resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("job stream content type %q", ct)
+	}
+	var evs []serve.JobEvent
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var ev serve.JobEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		evs = append(evs, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return evs, resp.Header.Get("X-Replica")
+}
+
+// TestClusterSweepStream: ?async=1 through the router hands back the
+// accepting replica's job id, and the job stream found through the
+// router is that replica's, carrying one progress event per cell in
+// cell order before the terminal event.
 func TestClusterSweepStream(t *testing.T) {
 	b0, b1 := newBackend(t), newBackend(t)
 	_, ts := newAttachCluster(t, b0.addr, b1.addr)
 
 	req := serve.SweepRequest{Protocols: []string{"bitar", "illinois", "goodman", "firefly"}, Procs: []int{1, 2}, Ops: 100, Seed: 11}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/sweep?stream=1", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	job, accepted := acceptAsync(t, ts.URL, "/v1/sweep", req)
+	if accepted == "" {
+		t.Fatal("async accept carries no X-Replica")
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("stream content type %q", ct)
+	evs, streamed := streamJob(t, ts.URL, job)
+	if streamed != accepted {
+		t.Fatalf("job %s accepted by %s but streamed from %s", job, accepted, streamed)
 	}
 
-	lastShard := -1
-	var result struct {
-		T      string             `json:"t"`
-		Pass   bool               `json:"pass"`
-		Points []serve.SweepPoint `json:"points"`
+	var progress []string
+	for i, ev := range evs {
+		if ev.Seq != i {
+			t.Fatalf("event %d has seq %d", i, ev.Seq)
+		}
+		if ev.T == "progress" {
+			progress = append(progress, ev.Msg)
+		}
 	}
-	sawResult := false
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		var ev struct {
-			Shard int    `json:"shard"`
-			T     string `json:"t"`
-			Msg   string `json:"msg"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		if ev.T == "error" {
-			t.Fatalf("stream error event: %s", ev.Msg)
-		}
-		if ev.T == "result" {
-			if err := json.Unmarshal(sc.Bytes(), &result); err != nil {
-				t.Fatal(err)
-			}
-			sawResult = true
-			continue
-		}
-		if sawResult {
-			t.Fatal("events after the result line")
-		}
-		if ev.Shard < lastShard {
-			t.Fatalf("shard order regressed: %d after %d", ev.Shard, lastShard)
-		}
-		lastShard = ev.Shard
+	if last := evs[len(evs)-1]; last.T != "done" || !strings.HasPrefix(last.Msg, "pass=true") {
+		t.Fatalf("stream ended with %+v, want done pass=true", last)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	cells := []string{"bitar p=1", "bitar p=2", "illinois p=1", "illinois p=2",
+		"goodman p=1", "goodman p=2", "firefly p=1", "firefly p=2"}
+	if len(progress) != len(cells) {
+		t.Fatalf("%d progress events, want one per cell:\n%s", len(progress), strings.Join(progress, "\n"))
 	}
-	if !sawResult {
-		t.Fatal("stream ended without a result line")
-	}
-	if len(result.Points) != 8 || !result.Pass {
-		t.Fatalf("stream result: pass=%v points=%d, want pass/8", result.Pass, len(result.Points))
-	}
-	for i, want := range []string{"bitar", "bitar", "illinois", "illinois", "goodman", "goodman", "firefly", "firefly"} {
-		if result.Points[i].Protocol != want {
-			t.Fatalf("point %d protocol %q, want %q (cell order must survive the merge)", i, result.Points[i].Protocol, want)
+	for i, cell := range cells {
+		if want := fmt.Sprintf("%d/%d %s:", i+1, len(cells), cell); !strings.HasPrefix(progress[i], want) {
+			t.Fatalf("progress event %d is %q, want cell order (%q...)", i, progress[i], want)
 		}
 	}
 }
 
 // TestClusterJobBroadcast: an async job accepted by one replica is
 // findable through the coordinator without knowing which replica runs
-// it.
+// it — even after every replica has minted jobs of its own, so a
+// replica-local counter would give two replicas the same id.
 func TestClusterJobBroadcast(t *testing.T) {
 	b0, b1 := newBackend(t), newBackend(t)
-	_, ts := newAttachCluster(t, b0.addr, b1.addr)
+	c, ts := newAttachCluster(t, b0.addr, b1.addr)
 
-	cfg := simrun.Config{Protocol: "bitar", Ops: 150, Seed: 3}
-	body, _ := json.Marshal(cfg)
-	resp, err := http.Post(ts.URL+"/v1/simulate?async=1", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acc struct {
-		Job string `json:"job"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&acc)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusAccepted || acc.Job == "" {
-		t.Fatalf("async accept: code=%d job=%q err=%v", resp.StatusCode, acc.Job, err)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + acc.Job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("job via broadcast: %d", resp.StatusCode)
-	}
-	sawDone := false
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var ev serve.JobEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err == nil && (ev.T == "done" || ev.T == "error") {
-			sawDone = true
+	// Synchronous requests mint jobs on both replicas: one on a1, and
+	// on a0 one plus a cached repeat, so a0 is a job ahead of a1.
+	for _, owner := range []string{"a0", "a0", "a1"} {
+		if code, hdr, body := postSim(t, ts.URL, configOwnedBy(t, c, owner)); code != http.StatusOK || hdr.Get("X-Replica") != owner {
+			t.Fatalf("warm %s: code=%d replica=%q %s", owner, code, hdr.Get("X-Replica"), body)
 		}
 	}
-	if !sawDone {
-		t.Fatal("job stream never finished")
+	// a1, second in roster order, accepts the async job: its second
+	// job, as a0's cached repeat was a0's.
+	cfg := configOwnedBy(t, c, "a1")
+	cfg.Seed += 1000
+	for c.ring.pick("simulate|" + cfg.Hash())[0] != "a1" {
+		cfg.Seed++
+	}
+	job, accepted := acceptAsync(t, ts.URL, "/v1/simulate", cfg)
+	if accepted != "a1" {
+		t.Fatalf("async simulate accepted by %q, want a1", accepted)
+	}
+	evs, streamed := streamJob(t, ts.URL, job)
+	if streamed != "a1" {
+		t.Fatalf("job %s accepted by a1 but streamed from %s", job, streamed)
+	}
+	if len(evs) == 0 || (evs[len(evs)-1].T != "done" && evs[len(evs)-1].T != "error") {
+		t.Fatalf("job stream never finished: %+v", evs)
 	}
 
 	if r, err := http.Get(ts.URL + "/v1/jobs/nope"); err != nil {

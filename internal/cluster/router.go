@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cachesync/internal/serve"
 	"cachesync/internal/simrun"
 )
 
@@ -27,7 +28,6 @@ type rmetrics struct {
 	ejections    atomic.Int64
 	readmissions atomic.Int64
 	respawns     atomic.Int64
-	sweepShards  atomic.Int64
 	checkShards  atomic.Int64 // shard sessions opened for distributed checks
 	// shard sessions re-dispatched to another replica after their
 	// original host died mid-check (resumed from a checkpoint).
@@ -56,8 +56,8 @@ func drainClose(resp *http.Response) {
 const maxBodyBytes = 1 << 20
 
 // Handler returns the coordinator's HTTP surface: the three work
-// endpoints routed by configuration key, job streams found by
-// broadcast, and fleet-level healthz/metrics.
+// endpoints routed by the key the owning replica caches them under,
+// job streams found by broadcast, and fleet-level healthz/metrics.
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
@@ -97,7 +97,22 @@ func (c *Cluster) Handler() http.Handler {
 		}
 		c.proxy(w, r, key, body)
 	})
-	mux.HandleFunc("POST /v1/sweep", c.handleSweep)
+	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
+		body, ok := readBody(w, r)
+		if !ok {
+			return
+		}
+		// A sweep is one cache entry: it goes whole to the replica that
+		// owns its key, as a single simulation does.
+		key := ""
+		var sr serve.SweepRequest
+		if err := json.Unmarshal(body, &sr); err == nil {
+			if cfgs, err := sr.Expand(); err == nil {
+				key = serve.SweepKey(cfgs)
+			}
+		}
+		c.proxy(w, r, key, body)
+	})
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
@@ -240,8 +255,8 @@ func flushCopy(w http.ResponseWriter, src io.Reader) {
 }
 
 // handleJob finds a job by broadcast: job ids are minted by replicas,
-// so the coordinator asks each healthy replica in roster order and
-// streams the first non-404 answer.
+// unique across the fleet, so the coordinator asks each healthy
+// replica in roster order and streams the first non-404 answer.
 func (c *Cluster) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	for _, name := range c.order {
@@ -305,7 +320,6 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# TYPE cachesyncc_ejections_total counter\ncachesyncc_ejections_total %d\n", c.met.ejections.Load())
 	fmt.Fprintf(&b, "# TYPE cachesyncc_readmissions_total counter\ncachesyncc_readmissions_total %d\n", c.met.readmissions.Load())
 	fmt.Fprintf(&b, "# TYPE cachesyncc_respawns_total counter\ncachesyncc_respawns_total %d\n", c.met.respawns.Load())
-	fmt.Fprintf(&b, "# TYPE cachesyncc_sweep_shards_total counter\ncachesyncc_sweep_shards_total %d\n", c.met.sweepShards.Load())
 	fmt.Fprintf(&b, "# TYPE cachesyncc_check_shards_total counter\ncachesyncc_check_shards_total %d\n", c.met.checkShards.Load())
 	fmt.Fprintf(&b, "# TYPE cachesyncc_check_failovers_total counter\ncachesyncc_check_failovers_total %d\n", c.met.checkFailovers.Load())
 	fmt.Fprintf(&b, "# TYPE cachesyncc_healthy gauge\ncachesyncc_healthy %d\n", c.healthyCount())

@@ -180,25 +180,17 @@ func AllJobs(csv bool) []runner.Job {
 	return jobs
 }
 
-// ParseSweepSpec parses a "-sweep procs=LO..HI" argument into the
-// processor counts to fan across.
+// ParseSweepSpec parses a "-sweep procs=LIST" argument, LIST being a
+// runner.ParseList range or comma list ("procs=2..8", "procs=1,2,4"),
+// into the processor counts to fan across.
 func ParseSweepSpec(spec string) ([]int, error) {
 	body, ok := strings.CutPrefix(spec, "procs=")
 	if !ok {
-		return nil, fmt.Errorf("sweep spec %q: want procs=LO..HI", spec)
+		return nil, fmt.Errorf("sweep spec %q: want procs=LO..HI or procs=N,M,...", spec)
 	}
-	lo, hi, ok := strings.Cut(body, "..")
-	if !ok {
-		return nil, fmt.Errorf("sweep spec %q: want procs=LO..HI", spec)
-	}
-	a, err1 := strconv.Atoi(lo)
-	b, err2 := strconv.Atoi(hi)
-	if err1 != nil || err2 != nil || a < 1 || b < a {
-		return nil, fmt.Errorf("sweep spec %q: bad range %s..%s", spec, lo, hi)
-	}
-	procs := make([]int, 0, b-a+1)
-	for n := a; n <= b; n++ {
-		procs = append(procs, n)
+	procs, err := runner.ParseList(body, 1)
+	if err != nil {
+		return nil, fmt.Errorf("sweep spec %q: %w", spec, err)
 	}
 	return procs, nil
 }

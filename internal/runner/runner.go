@@ -16,10 +16,12 @@
 package runner
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -44,8 +46,8 @@ type Job struct {
 	// whose parameters live entirely in code can use the name.
 	ConfigHash string
 	// Run regenerates the artifact. It must be deterministic and must
-	// not depend on other jobs: the pool runs jobs in arbitrary order
-	// and merges results by job index.
+	// not depend on other jobs: the workers run jobs in arbitrary order
+	// and results merge by job index.
 	Run func() (Artifact, error)
 }
 
@@ -133,9 +135,9 @@ type Options struct {
 	Cache *Cache
 }
 
-// Run executes every job on a worker pool and merges the results in
-// job order. The first job error aborts the run (remaining jobs may
-// still execute; their results are discarded).
+// Run executes every job on a worker pool (Ordered) and merges the
+// results in job order. The first job to fail stops the run: no job
+// starts after it, and its error is returned.
 func Run(jobs []Job, opts Options) (*Result, error) {
 	workers := opts.Workers
 	if workers < 1 {
@@ -155,52 +157,98 @@ func Run(jobs []Job, opts Options) (*Result, error) {
 
 	start := time.Now()
 	res := &Result{Jobs: make([]JobResult, len(jobs)), Workers: workers}
-
-	type outcome struct {
-		idx int
-		err error
-	}
-	idxCh := make(chan int)
-	outCh := make(chan outcome, len(jobs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				jr, err := runOne(jobs[i], opts.Cache)
-				res.Jobs[i] = jr // each worker writes a distinct index
-				outCh <- outcome{idx: i, err: err}
+	err := Ordered(context.Background(), len(jobs), workers,
+		func(_ context.Context, i int) (JobResult, error) {
+			jr, err := RunOne(jobs[i], opts.Cache)
+			if err != nil {
+				return jr, fmt.Errorf("runner: job %q: %w", jobs[i].Name, err)
 			}
-		}()
-	}
-	go func() {
-		for i := range jobs {
-			idxCh <- i
-		}
-		close(idxCh)
-	}()
-
-	var firstErr error
-	for range jobs {
-		o := <-outCh
-		if o.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("runner: job %q: %w", jobs[o.idx].Name, o.err)
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			return jr, nil
+		},
+		func(i int, jr JobResult) { res.Jobs[i] = jr })
+	if err != nil {
+		return nil, err
 	}
 	res.Wall = time.Since(start)
 	return res, nil
 }
 
-// runOne executes (or recalls) a single job. With a cache the
-// execution goes through Cache.Do, so concurrent same-key jobs —
-// possible when several pools share one cache, as the serving daemon's
-// request pool does — collapse to a single run.
-func runOne(j Job, c *Cache) (JobResult, error) {
+// Ordered runs do(ctx, i) for every i in [0, n) on up to workers
+// goroutines and hands each result to deliver on the caller's
+// goroutine in index order: deliver(i, ...) strictly after
+// deliver(i-1, ...), whatever order the calls finish in. It is the one
+// executor behind Run and simrun.RunCells, which is why their merged
+// output is byte-identical to a sequential loop at any worker count.
+//
+// workers < 1 means GOMAXPROCS, and no more workers start than there
+// are indices. The first error stops dispatch: no later index starts,
+// the ctx handed to the calls still running is canceled, the results
+// before the lowest failed index are delivered, and the error that
+// stopped the run is returned. A canceled ctx stops dispatch the same
+// way.
+func Ordered[T any](ctx context.Context, n, workers int,
+	do func(ctx context.Context, i int) (T, error), deliver func(i int, v T)) error {
+
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	// The first failure cancels cctx with itself as the cause: that
+	// stops dispatch, and it is the error the caller gets back.
+	cctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	type slot struct {
+		v    T
+		err  error
+		done chan struct{}
+	}
+	slots := make([]slot, n)
+	for i := range slots {
+		slots[i].done = make(chan struct{})
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				s := &slots[i]
+				if s.err = cctx.Err(); s.err == nil {
+					if s.v, s.err = do(cctx, i); s.err != nil {
+						cancel(s.err)
+					}
+				}
+				close(s.done)
+			}
+		}()
+	}
+
+	var err error
+	for i := range slots {
+		<-slots[i].done
+		if slots[i].err != nil {
+			err = context.Cause(cctx)
+			break
+		}
+		deliver(i, slots[i].v)
+	}
+	cancel(nil)
+	wg.Wait()
+	return err
+}
+
+// RunOne executes (or recalls) a single job; a panic in the job comes
+// back as an error. With a cache the execution goes through Cache.Do,
+// so concurrent same-key jobs — from several runs sharing one cache,
+// or the serving daemon's concurrent requests — collapse to one run.
+func RunOne(j Job, c *Cache) (JobResult, error) {
 	t0 := time.Now()
 	if c == nil {
 		art, err := safeRun(j)

@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -293,5 +295,47 @@ func TestSlowestReportsCriticalPath(t *testing.T) {
 	}
 	if top[0].Wall < top[1].Wall {
 		t.Error("Slowest not sorted longest-first")
+	}
+}
+
+// TestOrderedStopsDispatchAtFirstError: a failure stops dispatch, so
+// no index after it starts beyond the calls already running; the
+// results before it are delivered in order, and its error returned.
+func TestOrderedStopsDispatchAtFirstError(t *testing.T) {
+	const n, fail, workers = 100, 3, 2
+	boom := errors.New("boom")
+	var calls atomic.Int64
+	var delivered []int
+	err := Ordered(context.Background(), n, workers,
+		func(ctx context.Context, i int) (int, error) {
+			calls.Add(1)
+			if i == fail {
+				return 0, boom
+			}
+			time.Sleep(time.Millisecond)
+			return i, nil
+		},
+		func(i, v int) { delivered = append(delivered, v) })
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the failing call's", err)
+	}
+	if got := calls.Load(); got > fail+workers {
+		t.Fatalf("%d calls started; dispatch should stop within %d of the failure", got, workers)
+	}
+	for i, v := range delivered {
+		if v != i || i >= fail {
+			t.Fatalf("delivered %v, want exactly the indices before %d in order", delivered, fail)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	calls.Store(0)
+	err = Ordered(ctx, n, workers, func(context.Context, int) (int, error) {
+		calls.Add(1)
+		return 0, nil
+	}, func(int, int) { t.Error("delivered under a canceled context") })
+	if !errors.Is(err, context.Canceled) || calls.Load() != 0 {
+		t.Fatalf("canceled ctx: err=%v calls=%d, want context.Canceled and none", err, calls.Load())
 	}
 }

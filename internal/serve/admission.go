@@ -10,7 +10,7 @@ import (
 // 429 + Retry-After at the HTTP layer.
 var errQueueFull = errors.New("serve: admission queue full")
 
-// gate is the bounded admission queue in front of the worker pool: at
+// gate is the bounded admission queue in front of execution: at
 // most `slots` requests execute concurrently, at most `queue` more
 // wait for a slot, and everything beyond that is rejected immediately
 // — the bus-arbitration lesson applied to the daemon: a shared

@@ -224,45 +224,26 @@ func TestPerRouteMetrics(t *testing.T) {
 	}
 }
 
-// TestSweepCells: explicit cells execute exactly those coordinates in
-// order, and mixing cells with the cross-product lists is rejected.
+// TestSweepCells: a sweep names its cells only through its protocol,
+// procs and remotes lists, so the strict decoder refuses a body with a
+// cells field, alone or beside the lists.
 func TestSweepCells(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	req := SweepRequest{
-		Cells: []SweepCell{{Protocol: "bitar", Procs: 2}, {Protocol: "illinois", Procs: 1}},
-		Ops:   100, Seed: 3,
-	}
-	code, _, body := postJSON(t, ts.URL+"/v1/sweep", req)
-	if code != http.StatusOK {
-		t.Fatalf("cells sweep: %d %s", code, body)
-	}
-	var resp SweepResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Points) != 2 ||
-		resp.Points[0].Protocol != "bitar" || resp.Points[0].Procs != 2 ||
-		resp.Points[1].Protocol != "illinois" || resp.Points[1].Procs != 1 {
-		t.Fatalf("cells sweep points: %+v", resp.Points)
-	}
-
-	bad := SweepRequest{
-		Cells:     []SweepCell{{Protocol: "bitar", Procs: 2}},
-		Protocols: []string{"illinois"},
-	}
-	if code, _, _ := postJSON(t, ts.URL+"/v1/sweep", bad); code != http.StatusBadRequest {
-		t.Fatalf("cells+protocols: %d, want 400", code)
-	}
-
-	// A cells sweep and the equivalent cross-product sweep agree cell
-	// for cell.
-	prod := SweepRequest{Protocols: []string{"bitar"}, Procs: []int{2}, Ops: 100, Seed: 3}
-	_, _, pbody := postJSON(t, ts.URL+"/v1/sweep", prod)
-	var presp SweepResponse
-	if err := json.Unmarshal(pbody, &presp); err != nil {
-		t.Fatal(err)
-	}
-	if len(presp.Points) != 1 || presp.Points[0].Cycles != resp.Points[0].Cycles {
-		t.Fatalf("cells vs product cycles: %+v vs %+v", resp.Points[0], presp.Points)
+	for _, body := range []string{
+		`{"cells":[{"protocol":"bitar","procs":2},{"protocol":"illinois","procs":1}],"ops":100,"seed":3}`,
+		`{"cells":[{"protocol":"bitar","procs":2}],"protocols":["illinois"]}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%s), want 400", body, resp.StatusCode, msg)
+		}
+		if !strings.Contains(string(msg), "cells") {
+			t.Fatalf("%s: error %s does not name the field", body, msg)
+		}
 	}
 }

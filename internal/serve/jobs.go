@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 )
@@ -86,15 +87,24 @@ func (j *jobRec) snapshot(from int) ([]JobEvent, bool, <-chan struct{}) {
 // jobStore holds recent job records, evicting the oldest finished
 // records beyond cap.
 type jobStore struct {
-	mu    sync.Mutex
-	seq   int64
-	byID  map[string]*jobRec
-	order []string // creation order, for eviction
-	cap   int
+	mu sync.Mutex
+	// prefix is random per store, so ids are unique across replicas:
+	// the cluster router finds a job by asking each replica in turn,
+	// and a bare counter would let one replica's second job answer
+	// for another's.
+	prefix string
+	seq    int64
+	byID   map[string]*jobRec
+	order  []string // creation order, for eviction
+	cap    int
 }
 
 func newJobStore(capacity int) *jobStore {
-	return &jobStore{byID: make(map[string]*jobRec), cap: capacity}
+	return &jobStore{
+		prefix: fmt.Sprintf("j%08x-", rand.Uint32()),
+		byID:   make(map[string]*jobRec),
+		cap:    capacity,
+	}
 }
 
 // create registers a new record.
@@ -103,7 +113,7 @@ func (s *jobStore) create(kind string) *jobRec {
 	defer s.mu.Unlock()
 	s.seq++
 	j := &jobRec{
-		ID:      fmt.Sprintf("j%06d", s.seq),
+		ID:      fmt.Sprintf("%s%06d", s.prefix, s.seq),
 		Kind:    kind,
 		born:    time.Now(),
 		changed: make(chan struct{}),

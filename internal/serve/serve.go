@@ -1,16 +1,18 @@
 // Package serve is the cachesyncd daemon core: an HTTP/JSON service
 // exposing the repository's engines — the protocol simulator
 // (internal/simrun), the bounded model checker (internal/mcheck), and
-// protocol×procs sweeps — as long-running endpoints on a shared worker
-// pool with bounded admission, per-request deadlines, single-flight
-// deduplication of identical in-flight requests, an on-disk result
-// cache, NDJSON progress streaming, and graceful drain.
+// protocol×procs sweeps — as long-running endpoints behind bounded
+// admission, with per-request deadlines, single-flight deduplication
+// of identical in-flight requests, an on-disk result cache, NDJSON
+// progress streaming, and graceful drain.
 //
 // The serving discipline is the paper's bus-arbitration story applied
-// to a network service: the worker pool is the shared bus, the
+// to a network service: the execution slots are the shared bus, the
 // admission gate is the bounded arbiter queue, and requests beyond its
 // capacity are rejected at the edge (429 + Retry-After) instead of
 // being allowed to queue without bound and degrade everyone's latency.
+// An admitted request runs on the goroutine that holds its slot, and
+// the slot is released when the work returns.
 package serve
 
 import (
@@ -38,8 +40,8 @@ import (
 // Config sizes the daemon.
 type Config struct {
 	// Workers is the execution width: how many simulations/checks run
-	// concurrently (< 1 means GOMAXPROCS). The admission gate's slot
-	// count and the worker pool's size are both set from it.
+	// concurrently (< 1 means GOMAXPROCS) — the admission gate's slot
+	// count.
 	Workers int
 	// SweepWorkers is the in-process parallelism of one sweep request:
 	// how many of a sweep's cells run concurrently inside the sweep's
@@ -59,8 +61,8 @@ type Config struct {
 	MaxTimeout time.Duration
 	// RetryAfter is the hint attached to 429/503 responses; zero means 1s.
 	RetryAfter time.Duration
-	// Cache, when non-nil, is the on-disk result cache shared with the
-	// worker pool: identical requests are answered from disk across
+	// Cache, when non-nil, is the on-disk result cache every execution
+	// goes through: identical requests are answered from disk across
 	// process restarts, and concurrent identical requests collapse onto
 	// one execution.
 	Cache *runner.Cache
@@ -115,7 +117,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// execOut is what one deduplicated execution yields: the pool's result
+// execOut is what one deduplicated execution yields: the job's result
 // plus the leading request's job ID, so coalesced followers can point
 // their watchers at the stream that actually ran.
 type execOut struct {
@@ -127,7 +129,6 @@ type execOut struct {
 // done.
 type Server struct {
 	cfg    Config
-	pool   *runner.Pool
 	gate   *gate
 	jobs   *jobStore
 	met    *metrics
@@ -136,16 +137,13 @@ type Server struct {
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
-	closeMu  sync.Mutex
-	closed   bool
 }
 
-// New builds a Server and starts its worker pool.
+// New builds a Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:    cfg,
-		pool:   runner.NewPool(cfg.Workers, cfg.Cache),
 		gate:   newGate(cfg.Workers, cfg.Queue),
 		jobs:   newJobStore(cfg.MaxJobs),
 		met:    newMetrics(),
@@ -174,18 +172,11 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // Draining reports drain mode.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close drains: it stops admitting work, waits for every in-flight
-// request (including ?async=1 executions), then stops the worker pool.
-// Safe to call more than once.
+// Close drains: it stops admitting work and waits for every in-flight
+// request (including ?async=1 executions). Safe to call more than once.
 func (s *Server) Close() {
 	s.StartDrain()
 	s.inflight.Wait()
-	s.closeMu.Lock()
-	defer s.closeMu.Unlock()
-	if !s.closed {
-		s.closed = true
-		s.pool.Close()
-	}
 }
 
 // Handler returns the daemon's route table.
@@ -336,8 +327,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		// The client went away; 499 follows the nginx convention. The
 		// response is written for the logs — nobody is reading it.
 		s.writeJSON(w, 499, map[string]any{"error": "client closed request"}, false)
-	case errors.Is(err, runner.ErrPoolClosed):
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "shutting down"}, true)
 	default:
 		s.writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()}, false)
 	}
@@ -361,10 +350,10 @@ func decodeBodyLimit(r *http.Request, into any, limit int64) error {
 
 // execute runs one deduplicated, admission-controlled request: the
 // single-flight group collapses concurrent identical requests so only
-// the leader passes the admission gate and occupies a pool worker;
-// followers wait on the leader's result without consuming capacity.
-// run receives the execution context and the job record to stream
-// progress into.
+// the leader passes the admission gate and runs the job itself,
+// holding the slot until the job returns; followers wait on the
+// leader's result without consuming capacity. run receives the
+// execution context and the job record to stream progress into.
 func (s *Server) execute(ctx context.Context, jb *jobRec, kind, key string,
 	run func(ctx context.Context, jb *jobRec) (runner.Artifact, error)) (runner.Artifact, execMeta, error) {
 
@@ -377,13 +366,13 @@ func (s *Server) execute(ctx context.Context, jb *jobRec, kind, key string,
 		}
 		defer release()
 		jb.emit("started", "")
-		jr, err := s.pool.Submit(ctx, runner.Job{
+		jr, err := runner.RunOne(runner.Job{
 			Name:       kind,
 			ConfigHash: key,
 			Run: func() (runner.Artifact, error) {
 				return run(ctx, jb)
 			},
-		})
+		}, s.cfg.Cache)
 		if err != nil {
 			jb.finish("error", err.Error())
 			return execOut{}, err
@@ -695,29 +684,18 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 // SweepRequest fans one workload out over protocols × processor
 // counts. Empty lists mean every registered protocol / {1,2,4,8}.
-// Cells, when set, names the exact (protocol, procs) pairs instead of
-// the cross product — the form the cluster router uses to hand each
-// replica its shard of a sweep, which is rarely a full product.
 type SweepRequest struct {
-	Protocols []string    `json:"protocols,omitempty"`
-	Procs     []int       `json:"procs,omitempty"`
-	Cells     []SweepCell `json:"cells,omitempty"`
-	Workload  string      `json:"workload,omitempty"`
-	Ops       int         `json:"ops,omitempty"`
-	Iters     int         `json:"iters,omitempty"`
-	Seed      int64       `json:"seed,omitempty"`
+	Protocols []string `json:"protocols,omitempty"`
+	Procs     []int    `json:"procs,omitempty"`
+	Workload  string   `json:"workload,omitempty"`
+	Ops       int      `json:"ops,omitempty"`
+	Iters     int      `json:"iters,omitempty"`
+	Seed      int64    `json:"seed,omitempty"`
 	// Tiers selects the machine for every cell (2 = routed two-tier
 	// Aquarius); Remotes adds an inner sweep axis of lower-tier
 	// latencies (requires Tiers 2; empty means {0}).
 	Tiers   int   `json:"tiers,omitempty"`
 	Remotes []int `json:"remotes,omitempty"`
-}
-
-// SweepCell is one explicit sweep coordinate.
-type SweepCell struct {
-	Protocol string `json:"protocol"`
-	Procs    int    `json:"procs"`
-	Remote   int    `json:"remote,omitempty"`
 }
 
 // maxSweepPoints caps the cells one sweep request may expand to.
@@ -726,65 +704,54 @@ const maxSweepPoints = 256
 var errSweepTooLarge = fmt.Errorf("sweep exceeds %d points", maxSweepPoints)
 
 // Expand resolves the request into its normalized, validated cell
-// configurations in deterministic order (protocols outer, procs
-// inner; or Cells verbatim). The router and the replica both call
-// this, so a sharded sweep executes exactly the cells — in exactly
-// the per-shard order — that a single-replica sweep would. The point
-// cap is checked before anything is built: each list, then the
-// product, so an oversized body costs no more than its own decoding.
+// configurations in simrun.Expand's order (protocols outer, procs,
+// then remotes inner). The point cap is checked before anything is
+// built: each list, then the product, so an oversized body costs no
+// more than its own decoding.
 func (sr SweepRequest) Expand() ([]simrun.Config, error) {
-	var cells []SweepCell
-	if len(sr.Cells) > 0 {
-		if len(sr.Protocols) > 0 || len(sr.Procs) > 0 {
-			return nil, fmt.Errorf("cells and protocols/procs are mutually exclusive")
-		}
-		if len(sr.Cells) > maxSweepPoints {
-			return nil, errSweepTooLarge
-		}
-		cells = sr.Cells
-	} else {
-		protos := sr.Protocols
-		if len(protos) == 0 {
-			protos = cachesync.Protocols()
-		}
-		procs := sr.Procs
-		if len(procs) == 0 {
-			procs = []int{1, 2, 4, 8}
-		}
-		remotes := sr.Remotes
-		if len(remotes) == 0 {
-			remotes = []int{0}
-		}
-		// No list is empty, so a list over the cap makes the product
-		// exceed it too; below that the product cannot overflow.
-		if len(protos) > maxSweepPoints || len(procs) > maxSweepPoints || len(remotes) > maxSweepPoints ||
-			len(protos)*len(procs)*len(remotes) > maxSweepPoints {
-			return nil, errSweepTooLarge
-		}
-		cells = make([]SweepCell, 0, len(protos)*len(procs)*len(remotes))
-		for _, p := range protos {
-			for _, n := range procs {
-				for _, r := range remotes {
-					cells = append(cells, SweepCell{Protocol: p, Procs: n, Remote: r})
-				}
-			}
-		}
+	protos := sr.Protocols
+	if len(protos) == 0 {
+		protos = cachesync.Protocols()
 	}
+	procs := sr.Procs
+	if len(procs) == 0 {
+		procs = []int{1, 2, 4, 8}
+	}
+	remotes := sr.Remotes
+	if len(remotes) == 0 {
+		remotes = []int{0}
+	}
+	// No list is empty, so a list over the cap makes the product
+	// exceed it too; below that the product cannot overflow.
+	if len(protos) > maxSweepPoints || len(procs) > maxSweepPoints || len(remotes) > maxSweepPoints ||
+		len(protos)*len(procs)*len(remotes) > maxSweepPoints {
+		return nil, errSweepTooLarge
+	}
+	cfgs := simrun.Expand(simrun.Config{
+		Workload: sr.Workload, Ops: sr.Ops, Iters: sr.Iters, Seed: sr.Seed, Tiers: sr.Tiers,
+	}, protos, procs, remotes)
 	// Validate every point up front so a bad cell fails fast as a 400,
 	// not mid-sweep as a 500.
-	cfgs := make([]simrun.Config, 0, len(cells))
-	for _, c := range cells {
-		cfg := simrun.Config{
-			Protocol: c.Protocol, Procs: c.Procs,
-			Workload: sr.Workload, Ops: sr.Ops, Iters: sr.Iters, Seed: sr.Seed,
-			Tiers: sr.Tiers, RemoteCycles: c.Remote,
-		}.Normalize()
+	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		cfgs = append(cfgs, cfg)
 	}
 	return cfgs, nil
+}
+
+// SweepKey is a sweep's cache, single-flight and routing key: "sweep"
+// followed by each cell's Hash, in cell order. The replica stores the
+// whole sweep under it and the cluster router routes by it, so a sweep
+// is one cache entry with one owner.
+func SweepKey(cfgs []simrun.Config) string {
+	var b strings.Builder
+	b.WriteString("sweep")
+	for _, cfg := range cfgs {
+		b.WriteString("|")
+		b.WriteString(cfg.Hash())
+	}
+	return b.String()
 }
 
 // SweepPoint is one sweep cell's summary.
@@ -816,16 +783,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
 		return
 	}
-	var keyb strings.Builder
-	keyb.WriteString("sweep")
-	for _, cfg := range cfgs {
-		keyb.WriteString("|")
-		keyb.WriteString(cfg.Hash())
-	}
 	run := func(ctx context.Context, jb *jobRec) (runner.Artifact, error) {
 		// The whole sweep occupies one admission slot (fairness across
-		// requests), but its cells fan out over the in-process worker
-		// pool. RunCells delivers in submission order on this
+		// requests), but its cells fan out over SweepWorkers
+		// goroutines. RunCells delivers in submission order on this
 		// goroutine, so the points slice and the streamed progress
 		// events are byte-identical to a sequential loop at any
 		// SweepWorkers setting.
@@ -848,7 +809,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return runner.Artifact{Output: string(body), Pass: pass}, nil
 	}
-	s.respond(w, r, "sweep", keyb.String(), run, func(art runner.Artifact, meta execMeta) any {
+	s.respond(w, r, "sweep", SweepKey(cfgs), run, func(art runner.Artifact, meta execMeta) any {
 		var points []SweepPoint
 		_ = json.Unmarshal([]byte(art.Output), &points)
 		return SweepResponse{

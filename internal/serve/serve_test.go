@@ -606,7 +606,7 @@ func TestOverloadShedsCleanly(t *testing.T) {
 		http.DefaultClient.CloseIdleConnections()
 	}()
 
-	// Everything the burst spawned — workload goroutines, pool workers,
+	// Everything the burst spawned — workload goroutines, slot holders,
 	// watchers — must unwind once the server closes.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -664,6 +664,20 @@ func TestGateDirect(t *testing.T) {
 	}
 	if g.InUse() != 0 || g.Waiting() != 0 {
 		t.Fatalf("gate not drained: inuse=%d waiting=%d", g.InUse(), g.Waiting())
+	}
+
+	// A caller whose deadline passes while it waits in the queue gives
+	// up its place and never gets a slot, so its job never runs.
+	rel1, err = g.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.acquire(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("acquire past its deadline: %v, want context.DeadlineExceeded", err)
+	}
+	rel1()
+	if g.InUse() != 0 || g.Waiting() != 0 {
+		t.Fatalf("gate not drained after abandoned wait: inuse=%d waiting=%d", g.InUse(), g.Waiting())
 	}
 }
 

@@ -2,92 +2,44 @@ package simrun
 
 import (
 	"context"
-	"runtime"
-	"sync"
+
+	"cachesync/internal/runner"
 )
 
-// CellResult pairs one sweep cell's outcome with its error, so a
-// failed cell does not hide the cells that completed before it.
-type CellResult struct {
-	Res Result
-	Err error
+// Expand crosses protos × procs × remotes over base and returns the
+// normalized cell configurations, protocols outermost and remote
+// latencies innermost. It is the one sweep expansion: cmd/cachesim's
+// -sweep-procs/-sweep-remote and the daemon's /v1/sweep both build
+// their cells here, so the same axes name the same cells in the same
+// order everywhere.
+func Expand(base Config, protos []string, procs, remotes []int) []Config {
+	cfgs := make([]Config, 0, len(protos)*len(procs)*len(remotes))
+	for _, p := range protos {
+		for _, n := range procs {
+			for _, r := range remotes {
+				cfg := base
+				cfg.Protocol, cfg.Procs, cfg.RemoteCycles = p, n, r
+				cfgs = append(cfgs, cfg.Normalize())
+			}
+		}
+	}
+	return cfgs
 }
 
-// RunCells executes a batch of simulation configs on an in-process
-// worker pool and delivers the results in submission order: deliver
-// is called exactly once per completed cell, on the caller's
-// goroutine, with deliver(i, ...) strictly after deliver(i-1, ...).
-// Output is therefore byte-identical to a sequential loop at any
-// worker count — each cell builds its own sim.System, so cells share
-// nothing but read-only configuration.
+// RunCells executes a batch of simulation configs on runner.Ordered
+// and delivers the results in submission order: deliver is called
+// exactly once per completed cell, on the caller's goroutine, with
+// deliver(i, ...) strictly after deliver(i-1, ...). Output is
+// therefore byte-identical to a sequential loop at any worker count —
+// each cell builds its own sim.System, so cells share nothing but
+// read-only configuration.
 //
-// workers < 1 means GOMAXPROCS; the pool never exceeds the number of
-// cells. The first cell error cancels the remaining cells and is
-// returned (cells already finished are still delivered first);
-// cancellation of ctx does the same via the per-cell context.
+// workers < 1 means GOMAXPROCS; no more workers start than there are
+// cells. The first cell error cancels the cells still running, starts
+// no more, and is returned (cells before it are still delivered);
+// cancellation of ctx does the same.
 func RunCells(ctx context.Context, cfgs []Config, workers int, deliver func(int, Result)) error {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	if workers <= 1 {
-		for i, cfg := range cfgs {
-			res, err := Run(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			deliver(i, res)
-		}
-		return nil
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]CellResult, len(cfgs))
-	done := make([]chan struct{}, len(cfgs))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	var wg sync.WaitGroup
-	next := 0
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(cfgs) {
-					return
-				}
-				res, err := Run(cctx, cfgs[i])
-				results[i] = CellResult{Res: res, Err: err}
-				if err != nil {
-					cancel() // first failure aborts the cells behind it
-				}
-				close(done[i])
-			}
-		}()
-	}
-
-	// Merge on the caller's goroutine, strictly in submission order.
-	var firstErr error
-	for i := range cfgs {
-		<-done[i]
-		if results[i].Err != nil {
-			firstErr = results[i].Err
-			break
-		}
-		deliver(i, results[i].Res)
-	}
-	if firstErr != nil {
-		cancel() // abort cells still in flight behind the failed one
-	}
-	wg.Wait()
-	return firstErr
+	return runner.Ordered(ctx, len(cfgs), workers,
+		func(ctx context.Context, i int) (Result, error) { return Run(ctx, cfgs[i]) },
+		deliver)
 }

@@ -125,6 +125,11 @@ func (t *Trace) Encode(w io.Writer) error {
 // digit, the longest digit run is read and anything after it in the
 // field is ignored ("3x" reads as 3), and a value out of range is
 // rejected.
+//
+// Events collect in fixed-size chunks and are copied once into an
+// exact-length Events slice, so a decode allocates about twice the
+// events' size, not the up to fourfold an appended slice's growth
+// costs.
 func Decode(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)
@@ -132,6 +137,8 @@ func Decode(r io.Reader) (*Trace, error) {
 		raw    []byte
 		fields [][]byte
 		lineNo int
+		full   [][]Event // filled chunks, in order
+		cur    []Event   // the chunk being filled
 	)
 	// bad builds a line's error; only it turns the line into a string.
 	bad := func(what string) error {
@@ -196,13 +203,29 @@ func Decode(r io.Reader) (*Trace, error) {
 			}
 			e.Class = c
 		}
-		t.Events = append(t.Events, e)
+		if len(cur) == cap(cur) {
+			if cur != nil {
+				full = append(full, cur)
+			}
+			cur = make([]Event, 0, decodeChunk)
+		}
+		cur = append(cur, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	if n := len(full)*decodeChunk + len(cur); n > 0 {
+		t.Events = make([]Event, 0, n)
+		for _, c := range full {
+			t.Events = append(t.Events, c...)
+		}
+		t.Events = append(t.Events, cur...)
+	}
 	return t, nil
 }
+
+// decodeChunk is the number of events Decode collects per chunk.
+const decodeChunk = 4096
 
 // splitFields appends the white-space-separated fields of line to
 // dst, as bytes.Fields splits them. An ASCII line is split in place;

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cachesync/internal/addr"
 	"cachesync/internal/core"
@@ -127,11 +129,13 @@ func TestEventTextMatchesFmt(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocsPerLine: apart from the events slice's own growth,
-// Decode's allocations do not grow with the number of lines. The
-// field splitter and the number scanner allocate nothing per line;
-// bytes.Fields in the splitter's place costs one allocation per line,
-// and in the engine benchmark a higher lat_p90_ms.
+// TestDecodeAllocsPerLine: apart from the event chunks, Decode's
+// allocations do not grow with the number of lines. The field splitter
+// and the number scanner allocate nothing per line; bytes.Fields in
+// the splitter's place costs one allocation per line, and in the
+// engine benchmark a higher lat_p90_ms. The returned Events slice is
+// exact (cap == len), and the whole decode allocates under 2.5× its
+// bytes: an appended slice's growth cost about 4.7×.
 func TestDecodeAllocsPerLine(t *testing.T) {
 	const shortLines, longLines = 1_000, 16_000
 	text := func(lines int) []byte {
@@ -158,6 +162,24 @@ func TestDecodeAllocsPerLine(t *testing.T) {
 	t.Logf("allocs: %d lines %.0f, %d lines %.0f, %.5f per extra line", shortLines, short, longLines, long, perLine)
 	if perLine > 0.01 {
 		t.Fatalf("Decode made %.5f allocations per extra line (limit 0.01): the per-line path is allocating", perLine)
+	}
+
+	b := text(longLines)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := Decode(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) != longLines || cap(tr.Events) != len(tr.Events) {
+		t.Fatalf("Events has len %d cap %d, want both %d", len(tr.Events), cap(tr.Events), longLines)
+	}
+	events := float64(unsafe.Sizeof(Event{})) * float64(len(tr.Events))
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / events
+	t.Logf("bytes: %d lines allocated %.2f× the %.0f bytes of their events", longLines, ratio, events)
+	if ratio >= 2.5 {
+		t.Fatalf("Decode allocated %.2f× the bytes of the events it returned (limit 2.5×)", ratio)
 	}
 }
 

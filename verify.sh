@@ -3,8 +3,8 @@
 # suite, the bench/ module's vet and tests, race-detector passes over
 # every internally concurrent path
 # (model-checker BFS, partial-order reduction, sharded exploration,
-# sim engine, runner worker pool, parallel sweep executor, bus,
-# scheduler queue, serving daemon, single-flight group), the fuzz
+# sim engine, the ordered executor under runner jobs and sweep cells,
+# bus, scheduler queue, serving daemon, single-flight group), the fuzz
 # targets in seed-corpus mode (trace codecs, workload replay, run
 # files, shard absorb, and the simulate, sweep, check and shard-open
 # request decoders),
@@ -30,12 +30,13 @@
 # and BENCH_mcheck.json, exact on any host), the artifact manifest
 # gate, one wall-clock check (the disk-backed exploration holds half
 # its in-RAM sibling's states/s, both measured in one process), and
-# the serving and cluster load runs: every request 2xx below the
-# admission limit, only clean 429s under overload, at least 0.3× the
-# offered rate completed — the cluster run through a 3-replica
-# cachesyncc fleet with a mid-run replica SIGKILL that must produce
-# zero responses other than 2xx/clean-429, plus respawn and
-# re-admission to full health.
+# the serving and cluster load runs: every request 2xx and tagged
+# with X-Cache below the admission limit, only clean 429s under
+# overload, at least 0.3× the offered rate completed at a median
+# latency of at most 1 s — the cluster run through a 3-replica
+# cachesyncc fleet (sweeps routed whole to their owning replica) with
+# a mid-run replica SIGKILL that must produce zero responses other
+# than 2xx/clean-429, plus respawn and re-admission to full health.
 set -eu
 cd "$(dirname "$0")"
 
@@ -64,7 +65,7 @@ echo "== go test -race (mcheck + sim smoke)"
 go test -race -short -run 'TestSmokeAllProtocols|TestDeterministicAcrossWorkers|TestSymmetryEquivalence|TestDeterministicWorkersMutant|TestPOREquivalence|TestPORMutant|TestShardedEquivalence|TestShardedTruncation|TestShardedRejectsPOR|TestSpillEquivalence|TestPORSpillBudget|TestKillResumeByteIdentical|TestKillResumePOR|TestShardSessionCheckpointResume|TestShardedHonorsCancel' ./internal/mcheck/
 go test -race -short ./internal/sim/ ./internal/trace/ ./internal/syncprim/
 
-echo "== go test -race (runner pool, parallel sweep executor, bus, scheduler queue)"
+echo "== go test -race (ordered executor: runner jobs and sweep cells, bus, scheduler queue)"
 go test -race -short ./internal/runner/ ./internal/simrun/ ./internal/bus/ ./internal/schedqueue/
 
 echo "== go test -race (interconnect fabrics, two-tier Aquarius machine)"
@@ -176,10 +177,10 @@ if ! wait "$dpid"; then
 fi
 echo "cachesyncd: clean start/probe/drain/stop"
 
-echo "== serving load run (open-loop SLO, 0.3x rate floor, overload shedding)"
+echo "== serving load run (open-loop SLO, 0.3x rate floor, 1 s median ceiling, X-Cache on every 2xx, overload shedding)"
 "$smoketmp/loadgen" -selfhost -workers 2 -queue 8 -rate 25 -duration 2s -require-shed
 
-echo "== cluster load run (3-replica fleet, artifact exchange, chaos kill, 0.3x rate floor)"
+echo "== cluster load run (3-replica fleet, artifact exchange, chaos kill, 0.3x rate floor, 1 s median ceiling, X-Cache on every 2xx)"
 go build -o "$smoketmp/cachesyncc" ./cmd/cachesyncc
 fleet="$smoketmp/fleet"
 "$smoketmp/cachesyncc" -replicas 3 -workers 1 -queue 16 -dir "$fleet" \
