@@ -11,9 +11,9 @@
 //	go run ./cmd/tables                     # everything, -j GOMAXPROCS
 //	go run ./cmd/tables -j 8               # explicit pool size
 //	go run ./cmd/tables -only E3           # one experiment
-//	go run ./cmd/tables -json ARTIFACTS.json   # full suite -> manifest
-//	go run ./cmd/tables -gate ARTIFACTS.json   # diff against baseline
-//	go run ./cmd/tables -sweep procs=2..8      # scaling sweep
+//	go run ./cmd/tables -sweep procs=2..8  # scaling sweep
+//
+// The golden tests of internal/report pin every artifact's full text.
 package main
 
 import (
@@ -31,13 +31,7 @@ var (
 	csv     = flag.Bool("csv", false, "emit experiment tables as CSV")
 	workers = flag.Int("j", 0, "worker pool size (default GOMAXPROCS)")
 	noCache = flag.Bool("nocache", false, "disable the .runnercache/ result cache")
-	jsonOut = flag.String("json", "", "run the full suite (tables, experiments, ablations, figures) and write the JSON artifact manifest to this file")
-	gate    = flag.String("gate", "", "run the full suite and diff it against a committed artifact manifest (e.g. ARTIFACTS.json); exit nonzero on drift")
 	sweep   = flag.String("sweep", "", "fan the mixed workload across processor counts and all protocols, e.g. -sweep procs=2..8")
-
-	writeGoldens = flag.Bool("write-transition-goldens", false, "regenerate the compiled-transition-table goldens and exit")
-	checkGoldens = flag.Bool("check-transition-goldens", false, "verify the committed transition-table goldens match a fresh compilation; exit nonzero on drift")
-	goldenDir    = flag.String("transition-golden-dir", "internal/protocol/goldens", "directory holding the committed transition-table goldens")
 )
 
 // runJobs executes a job list on the pool, with the result cache
@@ -63,20 +57,6 @@ func runJobs(jobs []runner.Job) *runner.Result {
 func main() {
 	flag.Parse()
 
-	if *writeGoldens || *checkGoldens {
-		var err error
-		if *writeGoldens {
-			err = writeTransitionGoldens(*goldenDir)
-		} else {
-			err = checkTransitionGoldens(*goldenDir)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *sweep != "" {
 		procs, err := report.ParseSweepSpec(*sweep)
 		if err != nil {
@@ -87,35 +67,6 @@ func main() {
 		fmt.Println(report.SweepTable(res.Output()).Render())
 		fmt.Printf("sweep: %d cells, %d cached, %d workers, %.0f ms\n",
 			len(res.Jobs), res.CachedCount(), res.Workers, float64(res.Wall.Microseconds())/1e3)
-		return
-	}
-
-	if *jsonOut != "" || *gate != "" {
-		res := runJobs(report.AllJobs(false))
-		if *jsonOut != "" {
-			if err := runner.WriteArtifacts(*jsonOut, res.Manifest()); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s: %d artifacts (%d cached), %d workers, %.0f ms\n",
-				*jsonOut, len(res.Jobs), res.CachedCount(), res.Workers,
-				float64(res.Wall.Microseconds())/1e3)
-		}
-		if *gate != "" {
-			baseline, err := runner.ReadArtifacts(*gate)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if bad := runner.Gate(os.Stdout, baseline, res); bad > 0 {
-				fmt.Printf("gate: %d artifact(s) diverged from %s\n", bad, *gate)
-				os.Exit(1)
-			}
-			fmt.Printf("gate: all %d artifacts match %s\n", len(res.Jobs), *gate)
-		}
-		if !res.AllPass() && *gate == "" {
-			os.Exit(1)
-		}
 		return
 	}
 

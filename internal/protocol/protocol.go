@@ -10,9 +10,10 @@
 package protocol
 
 // The compiled transition tables (table.go) are committed as diffable
-// goldens under goldens/, one file per registered protocol; verify.sh
-// gates on their freshness, so regenerate after any protocol change.
-//go:generate go run ../../cmd/tables -write-transition-goldens -transition-golden-dir goldens
+// goldens under goldens/, one file per registered protocol;
+// TestTransitionGoldens gates on their freshness, so regenerate after
+// any protocol change.
+//go:generate go test . -run ^TestTransitionGoldens$ -update
 
 import (
 	"fmt"

@@ -2,10 +2,14 @@ package protocol_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"cachesync/internal/bus"
+	"cachesync/internal/golden"
 	"cachesync/internal/protocol"
 	"cachesync/internal/protocol/all"
 )
@@ -209,7 +213,7 @@ func TestTableForConcurrent(t *testing.T) {
 }
 
 // TestGoldenTextsDeterministic pins that golden generation is a pure
-// function — the freshness gate in verify.sh depends on it.
+// function — TestTransitionGoldens depends on it.
 func TestGoldenTextsDeterministic(t *testing.T) {
 	a, b := protocol.GoldenTexts(), protocol.GoldenTexts()
 	if len(a) != len(all.Everything) {
@@ -221,6 +225,27 @@ func TestGoldenTextsDeterministic(t *testing.T) {
 		}
 		if text == "" {
 			t.Errorf("%s: empty golden text", name)
+		}
+	}
+}
+
+// TestTransitionGoldens is the freshness gate of the compiled tables:
+// every registered protocol's table must match its committed golden
+// under goldens/, and a golden left for an unregistered protocol fails
+// too, so a protocol edit cannot land without its regenerated table.
+// Regenerate with go generate ./internal/protocol.
+func TestTransitionGoldens(t *testing.T) {
+	texts := protocol.GoldenTexts()
+	for _, name := range protocol.Names() {
+		golden.Check(t, filepath.Join("goldens", name+".txt"), texts[name])
+	}
+	entries, err := os.ReadDir("goldens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if name, ok := strings.CutSuffix(e.Name(), ".txt"); !ok || texts[name] == "" {
+			t.Errorf("goldens/%s: stray golden for an unregistered protocol; delete it", e.Name())
 		}
 	}
 }

@@ -1,64 +1,22 @@
 package report
 
-// Golden-file tests: the rendered output of cmd/tables and
-// cmd/figures is committed under testdata/golden/, so artifact drift
-// fails `go test ./...` instead of silently changing what
-// EXPERIMENTS.md claims. After an intentional change, regenerate with
+// Golden-file tests: the full text of every artifact cmd/tables and
+// cmd/figures print is committed under testdata/golden/, so artifact
+// drift fails `go test ./...` instead of silently changing what
+// EXPERIMENTS.md claims, and every artifact must still pass. After an
+// intentional change, regenerate with
 //
 //	go test ./internal/report/ -run Golden -update
 
 import (
-	"flag"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
+	"cachesync/internal/golden"
 	"cachesync/internal/runner"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files")
-
-// goldenCompare diffs got against the committed golden file,
-// rewriting it under -update.
-func goldenCompare(t *testing.T, name, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", "golden", name)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("%s drifted at line %d:\n got: %q\nwant: %q\n(inspect, then regenerate with -update)",
-				name, i+1, g, w)
-		}
-	}
-	t.Fatalf("%s drifted (got %d bytes, want %d)", name, len(got), len(want))
-}
-
 // TestGoldenTables pins the full cmd/tables print-mode output: both
-// paper tables, experiments E1..E19, and the ablations.
+// paper tables, experiments E1..E21, and the ablations.
 func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the full experiment suite")
@@ -73,7 +31,7 @@ func TestGoldenTables(t *testing.T) {
 	if !res.AllPass() {
 		t.Fatalf("an artifact diverged from the paper:\n%s", res.Output())
 	}
-	goldenCompare(t, "tables.txt", res.Output())
+	golden.Check(t, "testdata/golden/tables.txt", res.Output())
 }
 
 // TestGoldenFigures pins the full cmd/figures output: every figure
@@ -89,5 +47,5 @@ func TestGoldenFigures(t *testing.T) {
 	if !res.AllPass() {
 		t.Fatalf("a figure diverged from the paper:\n%s", res.Output())
 	}
-	goldenCompare(t, "figures.txt", res.Output())
+	golden.Check(t, "testdata/golden/figures.txt", res.Output())
 }

@@ -171,7 +171,7 @@ func FigureJobs() []runner.Job {
 
 // AllJobs is the full regeneration suite — tables, experiments,
 // ablations, figures — in the order the sequential drivers printed
-// them. This is the job list the artifact manifest and gate cover.
+// them, the 39 artifacts the golden tests pin.
 func AllJobs(csv bool) []runner.Job {
 	jobs := TableJobs()
 	jobs = append(jobs, ExperimentJobs(csv)...)

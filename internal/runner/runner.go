@@ -1,6 +1,6 @@
 // Package runner is the parallel experiment engine: every artifact
 // regeneration — an experiment table, a figure reproduction, a sweep
-// point — becomes a Job executed by a worker pool, with three
+// point — becomes a Job executed by a worker pool, with two
 // guarantees the sequential drivers could not give:
 //
 //  1. determinism — artifacts are merged in job order, so parallel
@@ -9,17 +9,16 @@
 //     internal/mcheck's parallel BFS keeps);
 //  2. caching — an on-disk result cache under .runnercache/ keyed by
 //     the job's config hash plus a source hash skips jobs whose code
-//     and configuration are unchanged;
-//  3. gating — results serialize to a JSON artifact file with per-job
-//     wall-clock and output hashes, diffable against a committed
-//     baseline (ARTIFACTS.json) for the whole experiment suite.
+//     and configuration are unchanged.
+//
+// What the jobs produce is pinned by the report package's golden
+// tests, which hold every artifact's full text and pass verdict.
 package runner
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,8 +37,8 @@ type Artifact struct {
 
 // Job is one independent unit of regeneration work.
 type Job struct {
-	// Name identifies the job; it is the stable key the gate matches
-	// baselines by, so renaming a job orphans its baseline entry.
+	// Name identifies the job in errors and in its artifact, and keys
+	// the result cache together with ConfigHash.
 	Name string
 	// ConfigHash summarizes every runtime parameter the output depends
 	// on. Together with the source hash it keys the result cache; jobs
@@ -54,8 +53,6 @@ type Job struct {
 // JobResult pairs an artifact with its execution record.
 type JobResult struct {
 	Artifact Artifact
-	// Wall is the job's wall-clock duration (zero when Cached).
-	Wall time.Duration
 	// Cached reports that the artifact came from the result cache.
 	Cached bool
 	// Shared reports that the artifact came from another concurrent
@@ -108,22 +105,6 @@ func (r *Result) CachedCount() int {
 		}
 	}
 	return n
-}
-
-// Slowest returns the names and wall-clocks of the k slowest
-// non-cached jobs, longest first — the critical-path view.
-func (r *Result) Slowest(k int) []JobResult {
-	live := make([]JobResult, 0, len(r.Jobs))
-	for _, j := range r.Jobs {
-		if !j.Cached {
-			live = append(live, j)
-		}
-	}
-	sort.SliceStable(live, func(i, j int) bool { return live[i].Wall > live[j].Wall })
-	if k < len(live) {
-		live = live[:k]
-	}
-	return live
 }
 
 // Options configures one pool run.
@@ -249,14 +230,13 @@ func Ordered[T any](ctx context.Context, n, workers int,
 // so concurrent same-key jobs — from several runs sharing one cache,
 // or the serving daemon's concurrent requests — collapse to one run.
 func RunOne(j Job, c *Cache) (JobResult, error) {
-	t0 := time.Now()
 	if c == nil {
 		art, err := safeRun(j)
 		if err != nil {
 			return JobResult{}, err
 		}
 		art.Name = j.Name
-		return JobResult{Artifact: art, Wall: time.Since(t0)}, nil
+		return JobResult{Artifact: art}, nil
 	}
 	art, cached, shared, err := c.Do(j, func() (Artifact, error) {
 		art, err := safeRun(j)
@@ -268,11 +248,7 @@ func RunOne(j Job, c *Cache) (JobResult, error) {
 	if err != nil {
 		return JobResult{}, err
 	}
-	wall := time.Since(t0)
-	if cached {
-		wall = 0
-	}
-	return JobResult{Artifact: art, Wall: wall, Cached: cached, Shared: shared}, nil
+	return JobResult{Artifact: art, Cached: cached, Shared: shared}, nil
 }
 
 // safeRun converts a job panic into an error so one bad experiment

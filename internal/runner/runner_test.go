@@ -211,93 +211,6 @@ func TestSourceHashStableAndSensitive(t *testing.T) {
 	}
 }
 
-func TestGateDetectsDriftAndFailures(t *testing.T) {
-	jobs := fakeJobs(4, nil)
-	res, err := Run(jobs, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := res.Manifest()
-
-	// Identical run: clean gate.
-	var b strings.Builder
-	if bad := Gate(&b, baseline, res); bad != 0 {
-		t.Fatalf("identical run gated %d divergences:\n%s", bad, b.String())
-	}
-
-	// Drifted output, a failed artifact, and a vanished job.
-	jobs[0].Run = func() (Artifact, error) { return Artifact{Output: "drifted\n", Pass: true}, nil }
-	jobs[1].Run = func() (Artifact, error) { return Artifact{Output: "artifact 01\n", Pass: false}, nil }
-	res2, err := Run(jobs[:3], Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	bad := Gate(&b, baseline, res2)
-	if bad != 3 {
-		t.Fatalf("want 3 divergences (drift, fail, gone), got %d:\n%s", bad, b.String())
-	}
-	out := b.String()
-	for _, want := range []string{"DRIFT", "FAIL", "GONE", "job-03"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("gate report missing %q:\n%s", want, out)
-		}
-	}
-
-	// A brand-new job is reported but does not fail the gate.
-	extra := append(fakeJobs(4, nil), Job{Name: "novel", ConfigHash: "n",
-		Run: func() (Artifact, error) { return Artifact{Output: "new\n", Pass: true}, nil }})
-	res3, err := Run(extra, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	if bad := Gate(&b, baseline, res3); bad != 0 {
-		t.Fatalf("new job failed the gate (%d):\n%s", bad, b.String())
-	}
-	if !strings.Contains(b.String(), "NEW") {
-		t.Errorf("gate report missing NEW line:\n%s", b.String())
-	}
-}
-
-func TestArtifactFileRoundTrip(t *testing.T) {
-	jobs := fakeJobs(3, nil)
-	res, err := Run(jobs, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "artifacts.json")
-	if err := WriteArtifacts(path, res.Manifest()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadArtifacts(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Jobs) != 3 {
-		t.Fatalf("round trip lost jobs: %d", len(got.Jobs))
-	}
-	var b strings.Builder
-	if bad := Gate(&b, got, res); bad != 0 {
-		t.Fatalf("round-tripped manifest gated %d divergences:\n%s", bad, b.String())
-	}
-}
-
-func TestSlowestReportsCriticalPath(t *testing.T) {
-	jobs := fakeJobs(6, nil)
-	res, err := Run(jobs, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := res.Slowest(2)
-	if len(top) != 2 {
-		t.Fatalf("want 2 entries, got %d", len(top))
-	}
-	if top[0].Wall < top[1].Wall {
-		t.Error("Slowest not sorted longest-first")
-	}
-}
-
 // TestOrderedStopsDispatchAtFirstError: a failure stops dispatch, so
 // no index after it starts beyond the calls already running; the
 // results before it are delivered in order, and its error returned.

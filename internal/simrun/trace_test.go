@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cachesync/internal/golden"
 	"cachesync/internal/protocol/all"
 )
 
@@ -27,10 +28,6 @@ func TestLockTraceReplaysOnEveryProtocol(t *testing.T) {
 		}
 	}
 	traces := []string{"0 L 0\n0 W 1 5\n0 U 0 0\n1 L 0\n1 U 0 0\n", gen.String()}
-	want, err := os.ReadFile("testdata/lock_trace_bitar.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, text := range traces {
 		path := filepath.Join(t.TempDir(), "l.trace")
 		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
@@ -49,8 +46,8 @@ func TestLockTraceReplaysOnEveryProtocol(t *testing.T) {
 			if !res.Pass {
 				t.Errorf("trace %d on %s: replay not coherent:\n%s", i, name, res.Output)
 			}
-			if i == 0 && name == "bitar" && res.Output != string(want) {
-				t.Errorf("bitar report differs from the golden:\n%s", res.Output)
+			if i == 0 && name == "bitar" {
+				golden.Check(t, "testdata/lock_trace_bitar.golden", res.Output)
 			}
 		}
 	}

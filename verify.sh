@@ -1,6 +1,10 @@
 #!/bin/sh
 # Repository verification: formatting, static checks, the full test
-# suite, the bench/ module's vet and tests, race-detector passes over
+# suite (which holds every byte-pinned output to its committed file
+# through internal/golden: the report tables and figures, the 13
+# compiled transition tables, the workload digests, the lock-trace
+# report and DEEP_mcheck.json; a missing file fails), the bench/
+# module's vet and tests, race-detector passes over
 # every internally concurrent path
 # (model-checker BFS, partial-order reduction, sharded exploration,
 # sim engine, the ordered executor under runner jobs and sweep cells,
@@ -16,7 +20,8 @@
 # killed mid-check and its session fails over via the shared
 # checkpoint root), the mcheck kill-and-resume smoke (SIGKILL a
 # checkpointing run, resume it, byte-identical summary) plus the
-# pinned disk-backed bitar p4 exhaustive check, the table-vs-method differential plus the
+# pinned disk-backed bitar p4 exhaustive check (TestDeepCheckGolden),
+# the table-vs-method differential plus the
 # transition-table freshness gate (committed goldens must match the
 # tables compiled from the protocol code, every refusal keeps its
 # error text, rejected Complete cells keep their panic text, and a
@@ -27,9 +32,9 @@
 # mount — graceful stop), the steady-state allocation gate of the
 # engine, the baseline-counts golden (every cycle, broadcast, state,
 # transition and spill count in BENCH_sim.json, BENCH_aquarius.json
-# and BENCH_mcheck.json, exact on any host), the artifact manifest
-# gate, one wall-clock check (the disk-backed exploration holds half
-# its in-RAM sibling's states/s, both measured in one process), and
+# and BENCH_mcheck.json, exact on any host), one wall-clock check (the
+# disk-backed exploration holds half its in-RAM sibling's states/s,
+# both measured in one process), and
 # the serving and cluster load runs: every request 2xx and tagged
 # with X-Cache below the admission limit, only clean 429s under
 # overload, at least 0.3× the offered rate completed at a median
@@ -90,8 +95,7 @@ echo "== table-vs-method differential (compiled tables against the method oracle
 go test -run 'TestTableVsMethod' ./internal/ptest/
 
 echo "== transition-table freshness gate (goldens vs compiled tables, refusals, panic text, compile allocations)"
-go run ./cmd/tables -check-transition-goldens
-go test -run 'TestCompileRefusals|TestCompletePanicText|TestCompileAllocBudget' ./internal/protocol/
+go test -run 'TestTransitionGoldens|TestCompileRefusals|TestCompletePanicText|TestCompileAllocBudget' ./internal/protocol/
 
 echo "== fuzz targets (seed-corpus mode: f.Add seeds + testdata/fuzz)"
 go test -run 'FuzzTraceBinaryRoundTrip|FuzzTraceTextDecode' ./internal/trace/
@@ -132,29 +136,13 @@ wait "$mcpid" 2>/dev/null || true
 "$mctmp/mcheck" $mcargs -checkpoint "$mctmp/ck" -resume -out "$mctmp/resumed.json" >/dev/null
 cmp "$mctmp/full.json" "$mctmp/resumed.json"
 echo "mcheck: resumed run byte-identical after SIGKILL"
-
-# The pinned disk-backed exhaustive check: bitar at p=4 (symmetry +
-# POR) under a 256 KiB visited-set budget — far below the ~1 MiB the
-# visited set compresses to on disk, so exploration provably ran
-# disk-backed. Verdict, states, and transitions must reproduce the
-# committed artifact byte for byte.
-if [ -f DEEP_mcheck.json ]; then
-	grep -q '"exhausted": true' DEEP_mcheck.json
-	"$mctmp/mcheck" -protocol bitar -procs 4 -blocks 2 -words 2 -depth 14 -workers 2 \
-		-por -mem-budget 262144 -nospeedup -json -out "$mctmp/deep.json" >/dev/null
-	cmp DEEP_mcheck.json "$mctmp/deep.json"
-	echo "mcheck: bitar p4 exhaustive (disk-backed) matches pinned DEEP_mcheck.json"
-else
-	echo "no DEEP_mcheck.json artifact; skipping (create one with the same mcheck command plus -out DEEP_mcheck.json)"
-fi
 rm -rf "$mctmp"
 
-echo "== artifact gate (tables/experiments/figures manifest)"
-if [ -f ARTIFACTS.json ]; then
-	go run ./cmd/tables -gate ARTIFACTS.json
-else
-	echo "no ARTIFACTS.json baseline; skipping (create one with: go run ./cmd/tables -json ARTIFACTS.json)"
-fi
+# The pinned disk-backed exhaustive check: bitar at p=4 (symmetry +
+# POR) under a 256 KiB visited-set budget. Verdict, states, and
+# transitions must reproduce DEEP_mcheck.json byte for byte.
+go test -run 'TestDeepCheckGolden' .
+echo "mcheck: bitar p4 exhaustive (disk-backed) matches pinned DEEP_mcheck.json"
 
 echo "== cachesyncd smoke (start, /healthz, simulate, check, pprof, graceful stop)"
 smoketmp=$(mktemp -d)
