@@ -91,7 +91,13 @@ func (ti *tagIndex) del(b addr.Block) {
 	}
 }
 
+// reset empties the index. It writes only the occupied slots: clearing
+// the whole pointer array would pay a write barrier per slot while the
+// collector marks, and Cache.Restore resets once per checker transition.
 func (ti *tagIndex) reset() {
-	clear(ti.keys)
-	clear(ti.vals)
+	for i, k := range ti.keys {
+		if k != 0 {
+			ti.keys[i], ti.vals[i] = 0, nil
+		}
+	}
 }

@@ -180,16 +180,29 @@ func CheckLockMutex(p protocol.Protocol, caches []*cache.Cache, mem *memory.Memo
 }
 
 func lockMutexViolations(p protocol.Protocol, h *blockHolders, mem *memory.Memory, b addr.Block, out []string) []string {
-	var lockers []int
+	// Count first: the locker list is built only for a message, so a
+	// coherent block costs no allocation.
+	tag := mem.GetLockTag(b)
+	n, foreign := 0, false
+	for i, st := range h.states {
+		if p.Privilege(st) == protocol.PrivLock {
+			n++
+			foreign = foreign || tag.Locked && h.ids[i] != tag.Owner
+		}
+	}
+	if n <= 1 && !foreign {
+		return out
+	}
+	lockers := make([]int, 0, n)
 	for i, st := range h.states {
 		if p.Privilege(st) == protocol.PrivLock {
 			lockers = append(lockers, h.ids[i])
 		}
 	}
-	if len(lockers) > 1 {
-		out = append(out, fmt.Sprintf("block %d: locked by %d caches %v", b, len(lockers), lockers))
+	if n > 1 {
+		out = append(out, fmt.Sprintf("block %d: locked by %d caches %v", b, n, lockers))
 	}
-	if tag := mem.GetLockTag(b); tag.Locked {
+	if tag.Locked {
 		for _, id := range lockers {
 			if id != tag.Owner {
 				out = append(out, fmt.Sprintf("block %d: memory lock tag owned by %d coexists with cache lock in %d",

@@ -83,29 +83,83 @@ func remapVal(v uint64, inv []int, procs int) uint64 {
 	return uint64(inv[v-1-uint64(procs)]) + 1 + uint64(procs)
 }
 
-// permuteKey writes the permuted image of src into dst: dst's cache
-// slot i receives src's cache perm[i], with owner fields, directory
-// bits, and writer-identifying data values rewritten through inv.
-func permuteKey(src, dst []uint64, perm, inv []int, lay keyLayout) {
+// canonicalize returns the lexicographically least permuted image of
+// key and the permutation that achieves it (canonical slot i holds the
+// original cache perm[i]); among permutations whose images tie, the
+// first in c.perms wins. The returned slice aliases canonizer scratch
+// (or key itself when the identity wins) and is valid until the next
+// call.
+func (c *canonizer) canonicalize(key []uint64) ([]uint64, []int) {
+	best := key
+	bestPerm := c.perms[0]
+	for p := 1; p < len(c.perms); p++ {
+		if c.permuteBelow(key, best, c.perms[p], c.invs[p]) {
+			c.buf, c.best = c.best, c.buf
+			best = c.best
+			bestPerm = c.perms[p]
+		}
+	}
+	return best, bestPerm
+}
+
+// image is a permuted key under construction, word by word in key
+// order, against the least key found so far.
+type image struct {
+	dst, bound []uint64
+	below      bool // an earlier word fell below bound's: write the rest unchecked
+}
+
+// put writes word pos of the image. It reports false when the word
+// exceeds bound's and every earlier word equals bound's: the image can
+// no longer be less than bound, and its remaining words are moot.
+func (im *image) put(pos int, v uint64) bool {
+	if !im.below {
+		if v > im.bound[pos] {
+			return false
+		}
+		im.below = v < im.bound[pos]
+	}
+	im.dst[pos] = v
+	return true
+}
+
+// permuteBelow builds the permuted image of src in c.buf — slot i
+// receives src's cache perm[i], with owner fields, directory bits, and
+// writer-identifying data values rewritten through inv — and reports
+// whether it is lexicographically less than bound. It abandons the
+// image at the first word that decides it is not — for most images the
+// first control word — leaving a partial image in c.buf.
+func (c *canonizer) permuteBelow(src, bound []uint64, perm, inv []int) bool {
+	lay := &c.lay
 	procs := lay.procs
+	im := image{dst: c.buf, bound: bound}
 	for bi := 0; bi < lay.blocks; bi++ {
 		base := bi * lay.blockStride
 		for i := 0; i < lay.ctrlWords; i++ {
-			dst[base+i] = 0
+			var v uint64
+			for ci := 4 * i; ci < min(4*i+4, procs); ci++ {
+				o := perm[ci]
+				lane := (src[base+o/4] >> uint((o%4)*16)) & 0xffff
+				v |= lane << uint((ci%4)*16)
+			}
+			if !im.put(base+i, v) {
+				return false
+			}
 		}
 		pos := base + lay.ctrlWords
 		for ci := 0; ci < procs; ci++ {
-			o := perm[ci]
-			lane := (src[base+o/4] >> uint((o%4)*16)) & 0xffff
-			dst[base+ci/4] |= lane << uint((ci%4)*16)
-			srcOff := base + lay.ctrlWords + o*lay.words
+			srcOff := base + lay.ctrlWords + perm[ci]*lay.words
 			for w := 0; w < lay.words; w++ {
-				dst[pos+w] = remapVal(src[srcOff+w], inv, procs)
+				if !im.put(pos, remapVal(src[srcOff+w], inv, procs)) {
+					return false
+				}
+				pos++
 			}
-			pos += lay.words
 		}
 		for w := 0; w < lay.words; w++ {
-			dst[pos] = remapVal(src[pos], inv, procs)
+			if !im.put(pos, remapVal(src[pos], inv, procs)) {
+				return false
+			}
 			pos++
 		}
 		lw := src[pos]
@@ -120,32 +174,18 @@ func permuteKey(src, dst []uint64, perm, inv []int, lay keyLayout) {
 				nm |= 1 << uint(inv[o])
 			}
 		}
-		dst[pos] = out | nm<<8
+		if !im.put(pos, out|nm<<8) {
+			return false
+		}
 		pos++
 		for w := 0; w < lay.words; w++ {
-			dst[pos] = remapVal(src[pos], inv, procs)
+			if !im.put(pos, remapVal(src[pos], inv, procs)) {
+				return false
+			}
 			pos++
 		}
 	}
-}
-
-// canonicalize returns the lexicographically least permuted image of
-// key and the permutation that achieves it (canonical slot i holds the
-// original cache perm[i]). The returned slice aliases canonizer
-// scratch (or key itself when the identity wins) and is valid until
-// the next call.
-func (c *canonizer) canonicalize(key []uint64) ([]uint64, []int) {
-	best := key
-	bestPerm := c.perms[0]
-	for p := 1; p < len(c.perms); p++ {
-		permuteKey(key, c.buf, c.perms[p], c.invs[p], c.lay)
-		if lessKey(c.buf, best) {
-			c.buf, c.best = c.best, c.buf
-			best = c.best
-			bestPerm = c.perms[p]
-		}
-	}
-	return best, bestPerm
+	return im.below
 }
 
 // remapAction rewrites a canonical-frame action into the frame where

@@ -57,6 +57,117 @@ func reachedKeys(t *testing.T, o Options) [][]uint64 {
 	return keys
 }
 
+// permuteKey writes the whole permuted image of src into dst: dst's
+// cache slot i receives src's cache perm[i], with owner fields,
+// directory bits, and writer-identifying data values rewritten through
+// inv. It is the exhaustive oracle for canonicalize, which builds the
+// same images word by word and abandons them early.
+func permuteKey(src, dst []uint64, perm, inv []int, lay keyLayout) {
+	procs := lay.procs
+	for bi := 0; bi < lay.blocks; bi++ {
+		base := bi * lay.blockStride
+		for i := 0; i < lay.ctrlWords; i++ {
+			dst[base+i] = 0
+		}
+		pos := base + lay.ctrlWords
+		for ci := 0; ci < procs; ci++ {
+			o := perm[ci]
+			lane := (src[base+o/4] >> uint((o%4)*16)) & 0xffff
+			dst[base+ci/4] |= lane << uint((ci%4)*16)
+			srcOff := base + lay.ctrlWords + o*lay.words
+			for w := 0; w < lay.words; w++ {
+				dst[pos+w] = remapVal(src[srcOff+w], inv, procs)
+			}
+			pos += lay.words
+		}
+		for w := 0; w < lay.words; w++ {
+			dst[pos] = remapVal(src[pos], inv, procs)
+			pos++
+		}
+		lw := src[pos]
+		var out uint64
+		if lw&1 != 0 {
+			out = 1 | lw&2 | uint64(inv[lw>>2&7])<<2
+		}
+		mask := lw >> 8 & 0xff
+		var nm uint64
+		for o := 0; o < procs; o++ {
+			if mask&(1<<uint(o)) != 0 {
+				nm |= 1 << uint(inv[o])
+			}
+		}
+		dst[pos] = out | nm<<8
+		pos++
+		for w := 0; w < lay.words; w++ {
+			dst[pos] = remapVal(src[pos], inv, procs)
+			pos++
+		}
+	}
+}
+
+// oracleCanonicalize is canonicalize without the early exit: it builds
+// every permuted image in full and keeps the first least one.
+func oracleCanonicalize(c *canonizer, key []uint64) (least []uint64, perm []int, ties int) {
+	least = append([]uint64(nil), key...)
+	perm, ties = c.perms[0], 1
+	img := make([]uint64, len(key))
+	for p := 1; p < len(c.perms); p++ {
+		permuteKey(key, img, c.perms[p], c.invs[p], c.lay)
+		switch compareKey(img, least) {
+		case -1:
+			copy(least, img)
+			perm, ties = c.perms[p], 1
+		case 0:
+			ties++
+		}
+	}
+	return least, perm, ties
+}
+
+// TestCanonicalizeMatchesOracle checks the early-exit canonicalize
+// against the exhaustive oracle on every state reached with symmetry
+// off: the same least key and the same first minimal permutation.
+// The configurations cover one and two blocks, the lock and update
+// paths, and p5, whose lanes span two control words; each must reach
+// states where several permutations tie for the least image (the
+// all-invalid root is one).
+func TestCanonicalizeMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		proto                string
+		procs, blocks, depth int
+	}{
+		{"bitar", 3, 1, 6},
+		{"bitar", 3, 2, 4},
+		{"dragon", 3, 1, 6},
+		{"dragon", 3, 2, 4},
+		{"bitar", 5, 1, 4},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("%s-p%d-b%d", tc.proto, tc.procs, tc.blocks), func(t *testing.T) {
+			t.Parallel()
+			o := Options{Protocol: protocol.MustNew(tc.proto), Procs: tc.procs, Blocks: tc.blocks, Words: 2, Depth: tc.depth}
+			od := o.withDefaults()
+			c := newCanonizer(makeKeyLayout(od.Procs, od.Blocks, od.Words))
+			tied := 0
+			keys := reachedKeys(t, o)
+			for _, k := range keys {
+				want, wantPerm, ties := oracleCanonicalize(c, k)
+				got, gotPerm := c.canonicalize(k)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotPerm, wantPerm) {
+					t.Fatalf("key %v: canonicalize gives %v under %v, oracle %v under %v", k, got, gotPerm, want, wantPerm)
+				}
+				if ties > 1 {
+					tied++
+				}
+			}
+			t.Logf("%d states, %d with tied permutations", len(keys), tied)
+			if tied == 0 {
+				t.Fatal("no reached state has tied permutations")
+			}
+		})
+	}
+}
+
 // TestCanonicalizeOrbit checks, on real reached states, that
 // canonicalize is constant on permutation orbits and that the returned
 // permutation actually achieves the canonical key.

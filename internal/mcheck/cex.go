@@ -59,7 +59,9 @@ func RenderCounterexample(opts Options, cex *Counterexample) string {
 			fmt.Fprintf(&b, "  — %s", note)
 		}
 		b.WriteString("\n")
-		all = append(all, m.txns...)
+		for _, t := range m.txns {
+			all = append(all, t.Clone()) // the next apply reuses the records
+		}
 	}
 	b.WriteString("\n")
 	b.WriteString(report.NewSequenceDiagram("bus sequence:", o.Procs, all).Render())

@@ -5,9 +5,11 @@ import (
 	"path/filepath"
 )
 
-// step applies one action and validates the resulting state, turning
-// executor panics and livelocks into reported violations (a broken —
-// possibly fault-injected — protocol may drive the engine anywhere).
+// step applies one action and validates the resulting state — only
+// the blocks the step wrote on a machine with scopeChecks, every block
+// otherwise — turning executor panics and livelocks into reported
+// violations (a broken — possibly fault-injected — protocol may drive
+// the engine anywhere).
 func (m *machine) step(a Action) (violations []string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -19,6 +21,9 @@ func (m *machine) step(a Action) (violations []string) {
 		return []string{err.Error()}
 	}
 	m.commitShadow(a, sr)
+	if m.journal != nil {
+		return m.checkBlocks(m.stepBlocks(a), a, sr)
+	}
 	return m.checkInvariants(a, sr)
 }
 

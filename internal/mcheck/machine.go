@@ -37,7 +37,9 @@ type machine struct {
 	shadow []uint64
 
 	// txns records the bus transactions of the last apply, for
-	// counterexample rendering and replay validation.
+	// counterexample rendering and replay validation. The records are
+	// pooled: the next apply resets and reuses them (see newTxn), so a
+	// caller that keeps one past that must Clone it.
 	txns []*bus.Transaction
 
 	// arcs collects (pre-state, op) → outcome for the acting cache
@@ -63,6 +65,10 @@ type machine struct {
 	// checker is the invariant suite with its scratch, run once per
 	// explored transition.
 	checker *coherence.Checker
+
+	// journal, when attached (scopeChecks), records the block of every
+	// write to what the invariants read, since the last restoreKey.
+	journal *addr.Journal
 }
 
 // keyLayout fixes the packed binary state-key format. Keys are
@@ -316,16 +322,32 @@ func (m *machine) needsFrame(cmd bus.Cmd) bool {
 	return false
 }
 
-// buildTxn mirrors sim.System.buildTxn.
-func (m *machine) buildTxn(a Action, c *cache.Cache, at addr.Addr, op protocol.Op, r protocol.ProcResult) *bus.Transaction {
-	t := &bus.Transaction{
-		Cmd:        r.Cmd,
-		Block:      addr.Block(a.Block),
-		Addr:       at,
-		Requester:  a.Proc,
-		LockIntent: r.LockIntent,
-		MemUpdate:  r.MemUpdate,
+// newTxn appends the next pooled transaction record of this apply to
+// m.txns, reset, and returns it: an apply issues at most a few records,
+// and reusing the previous applies' keeps the step off the allocator.
+func (m *machine) newTxn() *bus.Transaction {
+	n := len(m.txns)
+	if n == cap(m.txns) {
+		m.txns = append(m.txns, nil)
 	}
+	m.txns = m.txns[:n+1]
+	if m.txns[n] == nil {
+		m.txns[n] = new(bus.Transaction)
+	}
+	t := m.txns[n]
+	t.Reset()
+	return t
+}
+
+// buildTxn mirrors sim.System.buildTxn, in a pooled record.
+func (m *machine) buildTxn(a Action, c *cache.Cache, at addr.Addr, op protocol.Op, r protocol.ProcResult) *bus.Transaction {
+	t := m.newTxn()
+	t.Cmd = r.Cmd
+	t.Block = addr.Block(a.Block)
+	t.Addr = at
+	t.Requester = a.Proc
+	t.LockIntent = r.LockIntent
+	t.MemUpdate = r.MemUpdate
 	if op == protocol.OpUnlock && (t.Cmd == bus.ReadX || t.Cmd == bus.Upgrade) {
 		t.UnlockIntent = true
 	}
@@ -338,9 +360,8 @@ func (m *machine) buildTxn(a Action, c *cache.Cache, at addr.Addr, op protocol.O
 
 // broadcast delivers t to every snooping cache — all of them under
 // full broadcast, only the directory-recorded holders under a
-// partial-broadcast (directory) scheme — and records the transaction.
+// partial-broadcast (directory) scheme.
 func (m *machine) broadcast(t *bus.Transaction) {
-	m.txns = append(m.txns, t)
 	if m.feats.PartialBroadcast && t.Cmd != bus.Flush {
 		for _, id := range m.mem.Dir.Members(t.Block, t.Requester) {
 			m.caches[id].Snoop(t)
@@ -444,10 +465,7 @@ func (m *machine) evictBlock(a Action) {
 	}
 	ev := m.evictOf(st)
 	if ev.Writeback {
-		t := &bus.Transaction{Cmd: bus.Flush, Block: blk, Addr: m.geom.Base(blk),
-			Requester: c.ID(), BlockData: c.Data(blk)}
-		m.broadcast(t)
-		m.mem.Respond(t)
+		m.flush(c, blk, c.DataView(blk))
 	}
 	if ev.LockPurge {
 		m.mem.SetLockTag(blk, memory.LockTag{Locked: true, Owner: c.ID(), Waiter: ev.Waiter})
@@ -462,10 +480,7 @@ func (m *machine) evictBlock(a Action) {
 // occur with Ways == Blocks, but kept for smaller-cache configs).
 func (m *machine) evictVictim(c *cache.Cache, v cache.Victim) {
 	if v.Evict.Writeback {
-		t := &bus.Transaction{Cmd: bus.Flush, Block: v.Block, Addr: m.geom.Base(v.Block),
-			Requester: c.ID(), BlockData: v.Data}
-		m.broadcast(t)
-		m.mem.Respond(t)
+		m.flush(c, v.Block, v.Data)
 	}
 	if v.Evict.LockPurge {
 		m.mem.SetLockTag(v.Block, memory.LockTag{Locked: true, Owner: c.ID(), Waiter: v.Evict.Waiter})
@@ -476,13 +491,58 @@ func (m *machine) evictVictim(c *cache.Cache, v cache.Victim) {
 	c.Drop(v.Block)
 }
 
-// checkInvariants validates the current state: the shared coherence
-// predicates over real caches and memory, the shadow-backed
-// latest-version/conservation check, and the read-value check of the
-// step that produced the state.
+// flush broadcasts cache c's writeback of block blk, carrying a copy
+// of data in a pooled record, and lets memory absorb it.
+func (m *machine) flush(c *cache.Cache, blk addr.Block, data []uint64) {
+	t := m.newTxn()
+	t.Cmd = bus.Flush
+	t.Block = blk
+	t.Addr = m.geom.Base(blk)
+	t.Requester = c.ID()
+	t.SupplyBlock(data)
+	m.broadcast(t)
+	m.mem.Respond(t)
+}
+
+// scopeChecks attaches a journal to the machine's caches and memory,
+// so that step re-checks only the blocks written since the last
+// restoreKey plus the action's own block (a write changes its shadow
+// words, which no cache or memory write journals). That is the full
+// check's verdict, message for message, provided the restored state
+// passed the full suite: every invariant is per block, and a block
+// nothing wrote still passes. The expand workers qualify — they step
+// only from stored states, the root passed Open's full check, and
+// every other stored state a scoped check whose unwritten blocks its
+// parent had passed. Every other machine keeps the full sweep.
+func (m *machine) scopeChecks() {
+	m.journal = new(addr.Journal)
+	for _, c := range m.caches {
+		c.SetJournal(m.journal)
+	}
+	m.mem.SetJournal(m.journal)
+}
+
+// stepBlocks returns, in ascending order, the blocks journaled since
+// the last restoreKey plus a's own block. The slice aliases the
+// journal.
+func (m *machine) stepBlocks(a Action) []addr.Block {
+	m.journal.Add(addr.Block(a.Block))
+	return m.journal.Sorted()
+}
+
+// checkInvariants validates the current state over the whole block
+// universe.
 func (m *machine) checkInvariants(a Action, res stepResult) []string {
-	out := m.checker.Check(m.caches, m.mem, m.universe)
-	for _, b := range m.universe {
+	return m.checkBlocks(m.universe, a, res)
+}
+
+// checkBlocks validates the given blocks (ascending) of the current
+// state: the shared coherence predicates over real caches and memory
+// and the shadow-backed latest-version/conservation check, then the
+// read-value check of the step that produced the state.
+func (m *machine) checkBlocks(blocks []addr.Block, a Action, res stepResult) []string {
+	out := m.checker.Check(m.caches, m.mem, blocks)
+	for _, b := range blocks {
 		owner := m.ownerView(b)
 		base := int(b) * m.opts.Words
 		for w := 0; w < m.opts.Words; w++ {
@@ -597,6 +657,9 @@ func (m *machine) restoreKey(k []uint64) {
 	}
 	for ci, c := range m.caches {
 		c.Restore(m.decLines[ci][:m.decCount[ci]])
+	}
+	if m.journal != nil {
+		m.journal.Reset()
 	}
 }
 

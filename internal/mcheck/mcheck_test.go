@@ -150,23 +150,34 @@ func TestUnknownMutant(t *testing.T) {
 
 // TestRenderCounterexample checks the bus-sequence rendering of a
 // failure: numbered steps, the sequence diagram, and the violations.
+// The drop-invalidate trace is a whole-block write then a write by the
+// other cache, so its diagram must show both transactions — the executor reuses
+// its bus records from step to step, and the rendering keeps copies.
 func TestRenderCounterexample(t *testing.T) {
-	mut, err := Mutate(protocol.MustNew("bitar"), "skip-writeback")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := Options{Protocol: mut, Procs: 2, Blocks: 1, Depth: 6}
-	res, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counterexample == nil {
-		t.Fatal("no counterexample")
-	}
-	out := RenderCounterexample(o, res.Counterexample)
-	for _, want := range []string{"counterexample for bitar+skip-writeback", "bus sequence:", "cache 0", "memory", "violated:", "evict"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendering lacks %q:\n%s", want, out)
+	for _, tc := range []struct {
+		mut  string
+		want []string
+	}{
+		{"skip-writeback", []string{"counterexample for bitar+skip-writeback", "bus sequence:", "cache 0", "memory", "violated:", "evict"}},
+		{"drop-invalidate", []string{"bus: writenofetch", "bus: readx", ">writenofetch", ">readx b0"}},
+	} {
+		mut, err := Mutate(protocol.MustNew("bitar"), tc.mut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := Options{Protocol: mut, Procs: 2, Blocks: 1, Depth: 6}
+		res, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counterexample == nil {
+			t.Fatalf("%s: no counterexample", tc.mut)
+		}
+		out := RenderCounterexample(o, res.Counterexample)
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: rendering lacks %q:\n%s", tc.mut, want, out)
+			}
 		}
 	}
 }

@@ -261,6 +261,7 @@ func newSession(o Options, self, total, porBlock int) *ShardSession {
 	s := &ShardSession{o: o, self: self, total: total, porBlock: porBlock, pending: -1}
 	for range o.Workers {
 		m := newMachine(o)
+		m.scopeChecks()
 		s.workers = append(s.workers, &expandWorker{
 			m: m, seen: newKeySet(m.lay.total), sc: newProbeScratch(m.lay.total),
 			out: make([][]WireCand, total),

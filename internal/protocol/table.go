@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 
 	"cachesync/internal/bus"
@@ -592,88 +591,6 @@ func packEvict(e Evict, priv Priv, dirty, source bool) uint8 {
 func unpackEvict(v uint8) (e Evict, priv Priv, dirty, source bool) {
 	e = Evict{Writeback: v&1 != 0, LockPurge: v&2 != 0, Waiter: v&4 != 0}
 	return e, Priv(v >> 5 & 3), v&8 != 0, v&16 != 0
-}
-
-// GoldenText renders the table in the committed golden format: one
-// deterministic, diffable text file per protocol. Every cell appears
-// as its packed hex form; lines whose cells are all zero are elided.
-func (t *Table) GoldenText() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# compiled transition tables: %s (generated; go generate ./internal/protocol)\n", t.proto.Name())
-	fmt.Fprintf(&b, "# proc cell: bits 0-7 newstate, 8 hit, 9-12 cmd, 13 lockintent, 14 memupdate\n")
-	fmt.Fprintf(&b, "# complete cell: bits 0-7 newstate, 8 done, 9 busywait, 15 ok; 32 cells per line, flag order hit|sourcehit|dirty|locked|afterwait\n")
-	fmt.Fprintf(&b, "# snoop cell: bits 0-7 newstate, then hit,locked,supply,dirty,flush,updateword,takeword,ok; one line per state, cmd order none..iowrite\n")
-	fmt.Fprintf(&b, "protocol %s\nstates %d\n", t.proto.Name(), t.nstates)
-	for si := 0; si < t.nstates; si++ {
-		if !t.valid[si] {
-			fmt.Fprintf(&b, "state %d unreachable\n", si)
-			continue
-		}
-		fmt.Fprintf(&b, "state %d name=%s evict=%02x\n", si, t.proto.StateName(State(si)),
-			packEvict(t.evict[si], t.priv[si], t.dirty[si], t.source[si]))
-	}
-	for si := 0; si < t.nstates; si++ {
-		if !t.valid[si] {
-			continue
-		}
-		fmt.Fprintf(&b, "proc %d", si)
-		for op := 0; op < numOps; op++ {
-			fmt.Fprintf(&b, " %04x", packProc(t.proc[si*numOps+op]))
-		}
-		b.WriteByte('\n')
-	}
-	for si := 0; si < t.nstates; si++ {
-		if !t.valid[si] {
-			continue
-		}
-		fmt.Fprintf(&b, "snoop %d", si)
-		for cmd := 0; cmd < numCmds; cmd++ {
-			fmt.Fprintf(&b, " %04x", packSnoop(t.snoop[si*numCmds+cmd]))
-		}
-		b.WriteByte('\n')
-	}
-	for si := 0; si < t.nstates; si++ {
-		if !t.valid[si] {
-			continue
-		}
-		for op := 0; op < numOps; op++ {
-			for cmd := 0; cmd < numCmds; cmd++ {
-				base := ((si*numOps+op)*numCmds + cmd) * numCompleteFlags
-				any := false
-				for f := 0; f < numCompleteFlags; f++ {
-					if packComplete(t.complete[base+f]) != 0 {
-						any = true
-						break
-					}
-				}
-				if !any {
-					continue
-				}
-				fmt.Fprintf(&b, "complete %d %s %s", si, Op(op), bus.Cmd(cmd))
-				for f := 0; f < numCompleteFlags; f++ {
-					fmt.Fprintf(&b, " %04x", packComplete(t.complete[base+f]))
-				}
-				b.WriteByte('\n')
-			}
-		}
-	}
-	return b.String()
-}
-
-// GoldenTexts compiles every registered protocol and returns name →
-// golden text; protocols that do not compile map to an explanatory
-// stub so drift in *compilability* is also caught by the golden gate.
-func GoldenTexts() map[string]string {
-	out := make(map[string]string, len(registry))
-	for _, name := range Names() {
-		t, err := Compile(MustNew(name))
-		if err != nil {
-			out[name] = fmt.Sprintf("# compiled transition tables: %s\nuncompilable: %v\n", name, err)
-			continue
-		}
-		out[name] = t.GoldenText()
-	}
-	return out
 }
 
 // sortedStates returns the compiled reachable states in order (test
