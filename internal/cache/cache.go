@@ -191,10 +191,12 @@ func (c *Cache) bump(h **int64, name string) {
 }
 
 // SetJournal attaches j (nil detaches): from now on every write to a
-// line's tag, state or data records the line's block in j. Unit-dirty
-// bits, replacement bookkeeping, the busy-wait register and
-// PrepareFill's reuse of a tag-only invalid frame are not recorded —
-// no coherence invariant reads them.
+// frame's tag, state or data records the frame's block in j — the
+// write of a valid line, which the coherence invariants read, and
+// also of a tag-only invalid frame (PrepareFill's reuse of one drops
+// its tag), which the model checker's state key encodes. Unit-dirty
+// bits, replacement bookkeeping and the busy-wait register are not
+// recorded: neither the invariants nor the key read them.
 func (c *Cache) SetJournal(j *addr.Journal) { c.journal = j }
 
 // note records block b in the attached journal, if any.
@@ -437,6 +439,7 @@ func (c *Cache) PrepareFill(b addr.Block) Victim {
 	}
 	if !victim.valid() {
 		// Invalid tag-only frame: reusable with no obligations.
+		c.note(victim.tag)
 		c.idxDel(victim.tag)
 		victim.hasTag = false
 		return Victim{}
@@ -570,7 +573,7 @@ func (c *Cache) Snapshot() []LineSnapshot {
 // from a cache of this shape.
 func (c *Cache) Restore(lines []LineSnapshot) {
 	// Reset every frame but keep its data/unitDirty storage: Restore is
-	// the model checker's per-transition hot path.
+	// the model checker's per-state hot path.
 	c.idx.reset()
 	c.mruKey, c.mruLn = 0, nil
 	for _, set := range c.sets {
@@ -589,41 +592,74 @@ func (c *Cache) Restore(lines []LineSnapshot) {
 	c.tick = 0
 	c.BWReg = BusyWaitRegister{}
 	for _, snap := range lines {
-		set := c.sets[c.setIndex(snap.Block)]
-		var ln *line
-		for i := range set {
-			if !set[i].hasTag {
-				ln = &set[i]
-				break
-			}
-		}
-		if ln == nil {
-			panic(fmt.Sprintf("cache %d: Restore overflows set %d", c.id, c.setIndex(snap.Block)))
-		}
-		c.tick++
-		c.note(snap.Block)
-		ln.hasTag = true
-		ln.tag = snap.Block
-		c.idx.put(snap.Block, ln)
-		ln.state = snap.State
-		if len(ln.data) != c.geom.BlockWords {
-			ln.data = make([]uint64, c.geom.BlockWords)
-		} else {
-			for i := range ln.data {
-				ln.data[i] = 0
-			}
-		}
-		copy(ln.data, snap.Data)
-		if len(ln.unitDirty) != c.geom.Units() {
-			ln.unitDirty = make([]bool, c.geom.Units())
-		} else {
-			for i := range ln.unitDirty {
-				ln.unitDirty[i] = false
-			}
-		}
-		ln.lru = c.tick
-		ln.installed = c.tick
+		c.restoreFrame(snap.Block, snap.State, snap.Data)
 	}
+}
+
+// RestoreBlock resets block b's frame the way Restore resets them all:
+// it drops b's frame, if any, and when present is set installs b with
+// state st (Invalid for a tag-only frame) and data into the first frame
+// of its set that holds no tag. A busy-wait register armed on b
+// disarms. Other blocks' frames stay where they are, so dropping every
+// block a step wrote and then restoring the present ones in ascending
+// block order gives the frame order a Restore of the whole snapshot
+// gives. It is the model checker's per-transition hot path, and panics
+// when the set has no free frame.
+func (c *Cache) RestoreBlock(b addr.Block, present bool, st protocol.State, data []uint64) {
+	if ln := c.find(b, true); ln != nil {
+		c.note(b)
+		c.idxDel(b)
+		ln.hasTag = false
+		ln.tag = 0
+		ln.state = protocol.Invalid
+		ln.lru = 0
+		ln.installed = 0
+	}
+	if c.BWReg.Armed && c.BWReg.Block == b {
+		c.BWReg = BusyWaitRegister{}
+	}
+	if present {
+		c.restoreFrame(b, st, data)
+	}
+}
+
+// restoreFrame installs block b, which occupies no frame, into the
+// first untagged frame of its set, with clean unit-dirty bits.
+func (c *Cache) restoreFrame(b addr.Block, st protocol.State, data []uint64) {
+	set := c.sets[c.setIndex(b)]
+	var ln *line
+	for i := range set {
+		if !set[i].hasTag {
+			ln = &set[i]
+			break
+		}
+	}
+	if ln == nil {
+		panic(fmt.Sprintf("cache %d: Restore overflows set %d", c.id, c.setIndex(b)))
+	}
+	c.tick++
+	c.note(b)
+	ln.hasTag = true
+	ln.tag = b
+	c.idx.put(b, ln)
+	ln.state = st
+	if len(ln.data) != c.geom.BlockWords {
+		ln.data = make([]uint64, c.geom.BlockWords)
+	} else {
+		for i := range ln.data {
+			ln.data[i] = 0
+		}
+	}
+	copy(ln.data, data)
+	if len(ln.unitDirty) != c.geom.Units() {
+		ln.unitDirty = make([]bool, c.geom.Units())
+	} else {
+		for i := range ln.unitDirty {
+			ln.unitDirty[i] = false
+		}
+	}
+	ln.lru = c.tick
+	ln.installed = c.tick
 }
 
 // FrameView returns the state and a read-only data view of the frame

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -418,5 +419,78 @@ func TestReplacementPolicies(t *testing.T) {
 	}
 	if LRU.String() != "lru" || FIFO.String() != "fifo" || Random.String() != "random" {
 		t.Error("replacement names wrong")
+	}
+}
+
+// TestPrepareFillJournalsTagOnlyReuse: reusing a tag-only invalid frame
+// drops that frame's tag, which the model checker's state key encodes,
+// so the dropped block is journaled.
+func TestPrepareFillJournalsTagOnlyReuse(t *testing.T) {
+	c, _ := newCache(t, 0, Config{Sets: 1, Ways: 2})
+	c.Restore([]LineSnapshot{{Block: 0, State: core.I, Data: []uint64{1, 2, 3, 4}}})
+	var j addr.Journal
+	c.SetJournal(&j)
+	if v := c.PrepareFill(1); v.Needed {
+		t.Fatalf("a tag-only frame wanted an eviction: %+v", v)
+	}
+	if _, _, ok := c.FrameView(0); ok {
+		t.Fatal("PrepareFill kept the tag-only frame it was expected to reuse")
+	}
+	if got := j.Sorted(); !slices.Equal(got, []addr.Block{0}) {
+		t.Errorf("journal = %v, want [0]", got)
+	}
+}
+
+// frames lists a cache's frames in order, as the model checker's
+// executor can observe them: tag, state and data of each tagged frame,
+// nothing for an untagged one.
+func frames(c *Cache) []LineSnapshot {
+	var out []LineSnapshot
+	for _, set := range c.sets {
+		for i := range set {
+			ln := &set[i]
+			if !ln.hasTag {
+				out = append(out, LineSnapshot{Block: ^addr.Block(0)})
+				continue
+			}
+			out = append(out, LineSnapshot{Block: ln.tag, State: ln.state, Data: slices.Clone(ln.data)})
+		}
+	}
+	return out
+}
+
+// TestRestoreBlockMatchesRestore: restoring the blocks a sequence of
+// writes touched — every frame dropped first, the present ones then
+// reinstalled in ascending block order — leaves the frames, in order,
+// as a Restore of the whole snapshot does, even when the writes put a
+// block into the frame an earlier block of the snapshot held. (Dropping
+// and reinstalling block by block would put block 0 into frame 2.)
+func TestRestoreBlockMatchesRestore(t *testing.T) {
+	snap := []LineSnapshot{
+		{Block: 0, State: core.I, Data: []uint64{1, 2, 3, 4}}, // tag-only
+		{Block: 2, State: core.RSC, Data: []uint64{5, 6, 7, 8}},
+	}
+	want, _ := newCache(t, 0, Config{Sets: 1, Ways: 3})
+	want.Restore(snap)
+
+	c, _ := newCache(t, 0, Config{Sets: 1, Ways: 3})
+	c.Restore(snap)
+	c.PrepareFill(1) // reuses block 0's tag-only frame 0
+	c.Install(1, []uint64{9, 9, 9, 9}, core.WSD)
+	var j addr.Journal
+	c.SetJournal(&j)
+	touched := []addr.Block{0, 1}
+	for _, b := range touched {
+		c.RestoreBlock(b, false, core.I, nil)
+	}
+	c.RestoreBlock(snap[0].Block, true, snap[0].State, snap[0].Data)
+	if got, w := frames(c), frames(want); !reflect.DeepEqual(got, w) {
+		t.Fatalf("frames after RestoreBlock = %+v, want %+v", got, w)
+	}
+	if got := j.Sorted(); !slices.Equal(got, touched) {
+		t.Errorf("journal = %v, want %v", got, touched)
+	}
+	if st := c.State(1); st != core.I {
+		t.Errorf("block 1 still %v after being restored absent", st)
 	}
 }

@@ -3,28 +3,58 @@ package mcheck
 import (
 	"fmt"
 	"path/filepath"
+
+	"cachesync/internal/addr"
 )
 
 // step applies one action and validates the resulting state — only
 // the blocks the step wrote on a machine with scopeChecks, every block
-// otherwise — turning executor panics and livelocks into reported
+// otherwise. It is applyStep followed by checkStep; the expand workers
+// call the halves apart, to run the suite only on states new to them.
+func (m *machine) step(a Action) []string {
+	sr, v := m.applyStep(a)
+	if v != nil {
+		return v
+	}
+	blocks := m.universe
+	if m.journal != nil {
+		blocks = m.stepBlocks(a)
+	}
+	return m.checkStep(blocks, a, sr)
+}
+
+// applyStep is step's apply half: it applies a and commits its shadow
+// write, turning executor panics and livelocks into reported
 // violations (a broken — possibly fault-injected — protocol may drive
-// the engine anywhere).
-func (m *machine) step(a Action) (violations []string) {
+// the engine anywhere). After such a failure only restoreKey is known
+// to bring the machine back.
+func (m *machine) applyStep(a Action) (sr stepResult, violations []string) {
 	defer func() {
 		if r := recover(); r != nil {
-			violations = []string{fmt.Sprintf("panic during %s: %v", a, r)}
+			violations = []string{panicViolation(a, r)}
 		}
 	}()
 	sr, err := m.apply(a)
 	if err != nil {
-		return []string{err.Error()}
+		return sr, []string{err.Error()}
 	}
 	m.commitShadow(a, sr)
-	if m.journal != nil {
-		return m.checkBlocks(m.stepBlocks(a), a, sr)
-	}
-	return m.checkInvariants(a, sr)
+	return sr, nil
+}
+
+// checkStep is step's check half: the invariant suite over blocks
+// (checkBlocks), with a panic reported as a violation too.
+func (m *machine) checkStep(blocks []addr.Block, a Action, sr stepResult) (violations []string) {
+	defer func() {
+		if r := recover(); r != nil {
+			violations = []string{panicViolation(a, r)}
+		}
+	}()
+	return m.checkBlocks(blocks, a, sr)
+}
+
+func panicViolation(a Action, r any) string {
+	return fmt.Sprintf("panic during %s: %v", a, r)
 }
 
 // Run explores every interleaving of processor operations up to
@@ -105,6 +135,9 @@ func runLocal(o Options, porBlock int) (*Result, *ShardViolation, error) {
 	res, viol, err := explore(o, []ShardPeer{s})
 	if err != nil {
 		return nil, nil, err
+	}
+	if o.suiteHook != nil {
+		o.suiteHook(s.suiteRuns())
 	}
 	if o.MemBudget > 0 {
 		res.MemBudget = o.MemBudget

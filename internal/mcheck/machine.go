@@ -51,12 +51,11 @@ type machine struct {
 
 	// Reused scratch buffers: restore/encode run once per explored
 	// transition, so they must not allocate.
-	lay      keyLayout
-	keyBuf   []uint64
-	decLines [][]cache.LineSnapshot // per cache, full capacity, Data preallocated
-	decCount []int
-	dirIDs   []int
-	actsBuf  []Action
+	lay     keyLayout
+	keyBuf  []uint64
+	dirIDs  []int
+	actsBuf []Action
+	touched []addr.Block // stepBlocks' result
 
 	// canon holds the processor-symmetry canonicalizer (nil when
 	// Options.Symmetry is off).
@@ -67,7 +66,9 @@ type machine struct {
 	checker *coherence.Checker
 
 	// journal, when attached (scopeChecks), records the block of every
-	// write to what the invariants read, since the last restoreKey.
+	// write to what the invariants read or the state key encodes since
+	// the last restore, shadow words and directory bits aside (see
+	// stepBlocks).
 	journal *addr.Journal
 }
 
@@ -169,14 +170,6 @@ func newMachine(opts Options) *machine {
 	for i := range m.universe {
 		m.universe[i] = addr.Block(i)
 	}
-	m.decLines = make([][]cache.LineSnapshot, opts.Procs)
-	for i := range m.decLines {
-		m.decLines[i] = make([]cache.LineSnapshot, opts.Blocks)
-		for j := range m.decLines[i] {
-			m.decLines[i][j].Data = make([]uint64, opts.Words)
-		}
-	}
-	m.decCount = make([]int, opts.Procs)
 	m.lay = makeKeyLayout(opts.Procs, opts.Blocks, opts.Words)
 	m.keyBuf = make([]uint64, m.lay.total)
 	if opts.Symmetry {
@@ -504,16 +497,20 @@ func (m *machine) flush(c *cache.Cache, blk addr.Block, data []uint64) {
 	m.mem.Respond(t)
 }
 
-// scopeChecks attaches a journal to the machine's caches and memory,
-// so that step re-checks only the blocks written since the last
-// restoreKey plus the action's own block (a write changes its shadow
-// words, which no cache or memory write journals). That is the full
-// check's verdict, message for message, provided the restored state
-// passed the full suite: every invariant is per block, and a block
-// nothing wrote still passes. The expand workers qualify — they step
-// only from stored states, the root passed Open's full check, and
-// every other stored state a scoped check whose unwritten blocks its
-// parent had passed. Every other machine keeps the full sweep.
+// scopeChecks attaches a journal to the machine's caches and memory.
+// Between two restores it then records every block whose cache frames,
+// memory words or lock tag a step wrote, which bounds what the step
+// changed: the executor writes shadow words and directory bits only for
+// the action's own block (an evicted capacity victim's Drop journals
+// it). The expand workers step only from stored states and use the
+// bound three ways — restoreBlocks returns to the parent through those
+// blocks, successorKey re-encodes only them, and checkBlocks re-checks
+// only them. The last is the full check's verdict, message for
+// message, because every stored state passed the whole suite (the root
+// Open's full check, every other state a scoped check whose unwritten
+// blocks its parent had passed), every invariant is per block, and a
+// block nothing wrote still passes. Every other machine keeps the full
+// sweep.
 func (m *machine) scopeChecks() {
 	m.journal = new(addr.Journal)
 	for _, c := range m.caches {
@@ -523,11 +520,14 @@ func (m *machine) scopeChecks() {
 }
 
 // stepBlocks returns, in ascending order, the blocks journaled since
-// the last restoreKey plus a's own block. The slice aliases the
-// journal.
+// the last restore plus a's own block, whose shadow words and
+// directory bits the step may have written unjournaled. The slice is a
+// copy in a per-machine buffer, valid until the next call: restoreBlocks
+// writes to the journal while it walks the blocks.
 func (m *machine) stepBlocks(a Action) []addr.Block {
 	m.journal.Add(addr.Block(a.Block))
-	return m.journal.Sorted()
+	m.touched = append(m.touched[:0], m.journal.Sorted()...)
+	return m.touched
 }
 
 // checkInvariants validates the current state over the whole block
@@ -536,10 +536,11 @@ func (m *machine) checkInvariants(a Action, res stepResult) []string {
 	return m.checkBlocks(m.universe, a, res)
 }
 
-// checkBlocks validates the given blocks (ascending) of the current
-// state: the shared coherence predicates over real caches and memory
-// and the shadow-backed latest-version/conservation check, then the
-// read-value check of the step that produced the state.
+// checkBlocks runs the invariant suite over the given blocks
+// (ascending) of the current state: the shared coherence predicates
+// over real caches and memory and the shadow-backed
+// latest-version/conservation check, then the read-value check of the
+// step that produced the state.
 func (m *machine) checkBlocks(blocks []addr.Block, a Action, res stepResult) []string {
 	out := m.checker.Check(m.caches, m.mem, blocks)
 	for _, b := range blocks {
@@ -553,6 +554,13 @@ func (m *machine) checkBlocks(blocks []addr.Block, a Action, res stepResult) []s
 			}
 		}
 	}
+	return m.appendStaleRead(out, a, res)
+}
+
+// appendStaleRead appends the read-value check of step a to out: the
+// one check that depends on the transition, not only on the state it
+// reached.
+func (m *machine) appendStaleRead(out []string, a Action, res stepResult) []string {
 	if res.didRead {
 		base := int(a.Block) * m.opts.Words
 		if want := m.shadow[base+a.Word]; res.value != want {
@@ -580,59 +588,102 @@ func (m *machine) ownerView(b addr.Block) []uint64 {
 // encodeKey serializes the machine's complete behavioral state — cache
 // frames (including tag-only invalid frames), memory data, lock tags,
 // directory presence, and the shadow memory — into the fixed-width
-// binary key described by keyLayout. The returned slice aliases a
-// per-machine buffer reused by the next call.
+// binary key described by keyLayout, one block section at a time. The
+// returned slice aliases a per-machine buffer reused by the next call
+// (and by successorKey).
 func (m *machine) encodeKey() []uint64 {
-	k := m.keyBuf
-	clear(k)
-	lay := &m.lay
-	for bi, b := range m.universe {
-		base := bi * lay.blockStride
-		pos := base + lay.ctrlWords
-		for ci, c := range m.caches {
-			if st, data, ok := c.FrameView(b); ok {
-				// protocol.State is a small enum (uint16 with the top bit
-				// never set), so present|state<<1 fits the 16-bit lane.
-				k[base+ci/4] |= (1 | uint64(st)<<1) << uint((ci%4)*16)
-				copy(k[pos:pos+lay.words], data)
-			}
-			pos += lay.words
-		}
-		copy(k[pos:pos+lay.words], m.mem.BlockView(b))
-		pos += lay.words
-		var lw uint64
-		if tag := m.mem.GetLockTag(b); tag.Locked {
-			lw = 1 | uint64(tag.Owner)<<2
-			if tag.Waiter {
-				lw |= 2
-			}
-		}
-		k[pos] = lw | m.mem.Dir.Mask(b)<<8
-		pos++
-		copy(k[pos:pos+lay.words], m.shadow[bi*lay.words:(bi+1)*lay.words])
+	for _, b := range m.universe {
+		m.encodeBlock(m.keyBuf, b)
 	}
-	return k
+	return m.keyBuf
 }
 
-// restoreKey re-materializes the machine at an encoded state. It is
-// the other per-transition hot path and decodes into reused buffers.
-func (m *machine) restoreKey(k []uint64) {
-	lay := &m.lay
-	if len(k) != lay.total {
-		panic(fmt.Sprintf("mcheck: state key has %d words, want %d", len(k), lay.total))
+// successorKey encodes the state a step reached from the state with key
+// parent, given the blocks the step wrote (stepBlocks): parent's key
+// with only those blocks' sections re-encoded. It shares encodeKey's
+// buffer.
+func (m *machine) successorKey(parent []uint64, blocks []addr.Block) []uint64 {
+	copy(m.keyBuf, parent)
+	for _, b := range blocks {
+		m.encodeBlock(m.keyBuf, b)
 	}
-	clear(m.decCount)
-	for bi, b := range m.universe {
-		base := bi * lay.blockStride
+	return m.keyBuf
+}
+
+// encodeBlock writes block b's section of the state key into k.
+func (m *machine) encodeBlock(k []uint64, b addr.Block) {
+	lay := &m.lay
+	base := int(b) * lay.blockStride
+	clear(k[base : base+lay.ctrlWords])
+	pos := base + lay.ctrlWords
+	for ci, c := range m.caches {
+		if st, data, ok := c.FrameView(b); ok {
+			// protocol.State is a small enum (uint16 with the top bit
+			// never set), so present|state<<1 fits the 16-bit lane.
+			k[base+ci/4] |= (1 | uint64(st)<<1) << uint((ci%4)*16)
+			copy(k[pos:pos+lay.words], data)
+		} else {
+			clear(k[pos : pos+lay.words])
+		}
+		pos += lay.words
+	}
+	copy(k[pos:pos+lay.words], m.mem.BlockView(b))
+	pos += lay.words
+	var lw uint64
+	if tag := m.mem.GetLockTag(b); tag.Locked {
+		lw = 1 | uint64(tag.Owner)<<2
+		if tag.Waiter {
+			lw |= 2
+		}
+	}
+	k[pos] = lw | m.mem.Dir.Mask(b)<<8
+	pos++
+	copy(k[pos:pos+lay.words], m.shadow[int(b)*lay.words:(int(b)+1)*lay.words])
+}
+
+// restoreKey re-materializes the machine at an encoded state: it
+// clears every cache and restores every block's section.
+func (m *machine) restoreKey(k []uint64) {
+	if len(k) != m.lay.total {
+		panic(fmt.Sprintf("mcheck: state key has %d words, want %d", len(k), m.lay.total))
+	}
+	for _, c := range m.caches {
+		c.Restore(nil)
+	}
+	m.restoreSections(k, m.universe)
+}
+
+// restoreBlocks returns the machine to the encoded state k from a state
+// that differs from it at most in the given blocks (ascending), such
+// as the blocks a step from k wrote (stepBlocks). It restores only
+// their frames, memory words, lock tags, directory entries and shadow
+// words — the per-transition path back to the parent, where restoreKey
+// is the per-state one. Each cache drops all their frames before
+// reinstalling any, so its frames come out in restoreKey's order: the
+// other blocks' frames never moved, and the restored ones refill the
+// free frames in ascending block order, as Cache.Restore fills them.
+// With Ways == Blocks no valid line is ever a victim, so the LRU/FIFO
+// ticks a full restore would reset are unobservable.
+func (m *machine) restoreBlocks(k []uint64, blocks []addr.Block) {
+	for _, c := range m.caches {
+		for _, b := range blocks {
+			c.RestoreBlock(b, false, protocol.Invalid, nil)
+		}
+	}
+	m.restoreSections(k, blocks)
+}
+
+// restoreSections restores the given blocks' sections of k (ascending)
+// into a machine whose caches hold no frame for them, and empties the
+// journal.
+func (m *machine) restoreSections(k []uint64, blocks []addr.Block) {
+	lay := &m.lay
+	for _, b := range blocks {
+		base := int(b) * lay.blockStride
 		pos := base + lay.ctrlWords
-		for ci := range m.caches {
-			lane := (k[base+ci/4] >> uint((ci%4)*16)) & 0xffff
-			if lane&1 != 0 {
-				ls := &m.decLines[ci][m.decCount[ci]]
-				m.decCount[ci]++
-				ls.Block = b
-				ls.State = protocol.State(lane >> 1)
-				copy(ls.Data, k[pos:pos+lay.words])
+		for ci, c := range m.caches {
+			if lane := (k[base+ci/4] >> uint((ci%4)*16)) & 0xffff; lane&1 != 0 {
+				c.RestoreBlock(b, true, protocol.State(lane>>1), k[pos:pos+lay.words])
 			}
 			pos += lay.words
 		}
@@ -653,10 +704,7 @@ func (m *machine) restoreKey(k []uint64) {
 			}
 		}
 		m.mem.Dir.Set(b, m.dirIDs)
-		copy(m.shadow[bi*lay.words:(bi+1)*lay.words], k[pos:pos+lay.words])
-	}
-	for ci, c := range m.caches {
-		c.Restore(m.decLines[ci][:m.decCount[ci]])
+		copy(m.shadow[int(b)*lay.words:(int(b)+1)*lay.words], k[pos:pos+lay.words])
 	}
 	if m.journal != nil {
 		m.journal.Reset()

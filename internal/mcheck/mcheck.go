@@ -127,6 +127,11 @@ type Options struct {
 	// The slice aliases table storage and must not be retained. Tests
 	// use it to prove the symmetry quotient exact.
 	stateHook func(key []uint64)
+	// suiteHook, when set, is called once per in-process session (Run's,
+	// or each POR sub-run's) that completes, with the number of
+	// invariant-suite runs its expand workers made. Tests use it to
+	// gate the check-once rule of expandWorker.expand exactly.
+	suiteHook func(runs int64)
 }
 
 func (o *Options) withDefaults() Options {

@@ -17,6 +17,17 @@ import (
 // state, same per-block verdicts — to a reordering that groups each
 // block's actions together.
 //
+// One exception: a protocol whose invalid lines keep their tag for
+// snooping (rudolph) may fill block b into the frame of another
+// block's tag-only line, dropping that line's tag from the other
+// block's key section (Cache.PrepareFill; the journal records it).
+// Within block b's sub-run every other block stays at the root, which
+// holds no frame, so no sub-run takes that path; the argument above no
+// longer covers rudolph, and its reduction rests on measurement
+// instead: its POR state counts equal the full run's pure-state counts
+// at p3/b2 (TestPOREquivalence at depth 4, and through depth 7 when
+// this exception was written down).
+//
 // The reduction exploits this by never exploring a state with two
 // modified blocks: it runs one kernel pass per block with expansion
 // restricted to that block's actions (the session's porBlock filter)

@@ -105,6 +105,12 @@ type runWriter struct {
 	prev    []uint64
 	index   []runBlockRef
 	hashes  []uint64
+
+	// durable makes finish fsync the file before renaming it into place
+	// (and sets synced once it has): a checkpoint manifest may name the
+	// run after a crash. Without a checkpoint nothing reads a run after
+	// the process ends, so the fsync would buy nothing.
+	durable, synced bool
 }
 
 // runBlockRef is one block-index entry: the block's first key (owned
@@ -211,8 +217,11 @@ func (w *runWriter) finish(edges []byte) (retErr error) {
 	if _, err := w.f.Write(ftr); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
+	if w.durable {
+		if err := w.f.Sync(); err != nil {
+			return err
+		}
+		w.synced = true
 	}
 	if err := w.f.Close(); err != nil {
 		w.f = nil

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cachesync/internal/addr"
 	"cachesync/internal/protocol"
 )
 
@@ -217,6 +218,9 @@ type expandWorker struct {
 	sc          *probeScratch
 	out         [][]WireCand
 	transitions int64
+	// suiteRuns counts the invariant-suite runs of the session's life:
+	// one per successor new to the worker (see expand).
+	suiteRuns int64
 	// The worker's least violating transition: frontier index vi (-1
 	// when none), action index vj.
 	vi, vj int
@@ -299,6 +303,9 @@ func (s *ShardSession) Open() (*ShardOpenReply, error) {
 		s.tmp, dir = tmp, tmp
 	}
 	s.st = newSpillStore(s.kw, dir, s.o.MemBudget)
+	// Only a checkpoint's runs outlive the process: a private spill
+	// directory is removed by Close, and nothing reads it after a crash.
+	s.st.durable = s.ck != nil
 
 	m := s.workers[0].m
 	root := m.encodeKey()
@@ -410,6 +417,23 @@ func (s *ShardSession) Expand() (*ShardExpandReply, error) {
 // in increasing order until the cursor passes the end or the context
 // is canceled (polled once per state — cheap next to its expansion,
 // prompt enough that a deadline aborts a deep level mid-flight).
+//
+// A transition touches only what its step changed: the machine is
+// restored once per frontier state, and before each later action only
+// the blocks the previous step wrote are restored (restoreBlocks) —
+// all of them after a step whose apply failed, which may have left any
+// state. The successor key is the parent's with those blocks
+// re-encoded; one equal to the parent before canonicalization is a
+// self-loop, with no canonicalization and no hash. The invariant suite
+// runs only on a successor new to the worker: not the parent, not in
+// its duplicate filter this level, not in the session's visited store.
+// Each of those passed the suite when first reached (only clean
+// successors are kept or mailed, and the root passed Open's full
+// check); every input of the suite is in the key, and the suite is
+// permutation-symmetric, so a known successor would pass again. It
+// gets only the stale-read check, the one check that depends on the
+// transition. A successor another session owns cannot be probed here,
+// so it is checked unless the filter holds it.
 func (w *expandWorker) expand(s *ShardSession, ctx context.Context, cursor *int64) {
 	w.seen.reset()
 	// Drop the previous level's candidates past the new length too: the
@@ -429,59 +453,93 @@ func (w *expandWorker) expand(s *ShardSession, ctx context.Context, cursor *int6
 		id := s.front[i]
 		enc := s.st.key(id)
 		m.restoreKey(enc)
-		dirty := false
+		// wrote lists the blocks the last step wrote (nil: the machine
+		// is at enc); applyFailed marks a step whose apply panicked or
+		// livelocked.
+		var wrote []addr.Block
+		applyFailed := false
 		for j, a := range m.actions() {
 			if !s.expands(a) {
 				continue
 			}
-			if dirty {
+			if applyFailed {
 				m.restoreKey(enc)
+			} else if wrote != nil {
+				m.restoreBlocks(enc, wrote)
 			}
-			dirty = true
 			w.transitions++
-			if v := m.step(a); len(v) > 0 {
-				// States are claimed in increasing order, so the
-				// worker's first violation is its least.
-				if w.vi < 0 {
-					w.vi, w.vj, w.vact, w.viols = i, j, a, v
+			sr, v := m.applyStep(a)
+			if applyFailed = v != nil; applyFailed {
+				w.fail(i, j, a, v)
+				continue
+			}
+			wrote = m.stepBlocks(a)
+			nk := m.successorKey(enc, wrote)
+			loop := equalKey(nk, enc)
+			if !loop && m.canon != nil {
+				nk, _ = m.canon.canonicalize(nk)
+				loop = equalKey(nk, enc)
+			}
+			if loop {
+				// Self-loop in the (possibly quotiented) state graph.
+				if v := m.appendStaleRead(nil, a, sr); v != nil {
+					w.fail(i, j, a, v)
 				}
 				continue
 			}
-			nk := m.encodeKey()
-			if m.canon != nil {
-				nk, _ = m.canon.canonicalize(nk)
-			}
-			// Self-loop in the (possibly quotiented) state graph: the
-			// successor is the expanding state itself.
-			if equalKey(nk, enc) {
-				continue
-			}
 			h := hashKey(nk)
-			// Dedup before the visited probe: a key this worker already
-			// handled this level never needs a second probe, which
-			// matters once probes can touch sealed runs on disk.
-			ki, fresh := w.seen.add(nk, h)
-			if !fresh {
-				continue
-			}
 			dest := sessionShardOf(h, s.total)
-			if dest == s.self {
+			// The filter comes before the visited probe: a key this
+			// worker already handled this level never needs a second
+			// probe, which matters once probes can touch sealed runs on
+			// disk.
+			ki, slot := w.seen.find(nk, h)
+			if ki < 0 && dest == s.self {
 				ok, err := s.st.contains(shardOfHash(h), nk, h, w.sc)
 				if err != nil {
 					w.err = err
 					return
 				}
 				if ok {
-					continue
+					ki = w.seen.insert(nk, h, slot)
 				}
 			}
+			if ki >= 0 {
+				if v := m.appendStaleRead(nil, a, sr); v != nil {
+					w.fail(i, j, a, v)
+				}
+				continue
+			}
+			w.suiteRuns++
+			if v := m.checkStep(wrote, a, sr); len(v) > 0 {
+				w.fail(i, j, a, v)
+				continue
+			}
 			w.out[dest] = append(w.out[dest], WireCand{
-				Key:        w.seen.key(ki),
+				Key:        w.seen.key(w.seen.insert(nk, h, slot)),
 				Ord:        WireOrd{TShard: id.shard(), ParentKey: enc, AI: int32(j)},
 				ParentSess: s.self, Parent: uint64(id), Act: toWire(a),
 			})
 		}
 	}
+}
+
+// fail records the violating transition (frontier index i, action
+// index j) unless the worker has one: states are claimed in increasing
+// order, so the worker's first violation is its least.
+func (w *expandWorker) fail(i, j int, a Action, v []string) {
+	if w.vi < 0 {
+		w.vi, w.vj, w.vact, w.viols = i, j, a, v
+	}
+}
+
+// suiteRuns sums the invariant-suite runs of the session's workers.
+func (s *ShardSession) suiteRuns() int64 {
+	var n int64
+	for _, w := range s.workers {
+		n += w.suiteRuns
+	}
+	return n
 }
 
 // expands reports whether the session's Expand takes action a: every

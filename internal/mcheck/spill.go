@@ -155,6 +155,12 @@ type spillStore struct {
 	nextSeq  int
 	seals    int
 	obsolete []string // compacted-away files, deleted after next checkpoint
+
+	// durable, set when dir is a checkpoint directory, fsyncs every run
+	// before it is renamed into place (runWriter.durable); synced counts
+	// the runs so written.
+	durable bool
+	synced  int
 }
 
 // newSpillStore builds an empty store. dir may be "" when budget is 0.
@@ -287,7 +293,7 @@ func (st *spillStore) seal(s, upto int) error {
 	sort.Slice(order, func(i, j int) bool {
 		return lessKey(t.key(order[i]), t.key(order[j]))
 	})
-	w, err := newRunWriter(st.dir, st.nextSeq, st.kw, uint64(sh.sealed))
+	w, err := st.newRun(uint64(sh.sealed))
 	if err != nil {
 		return err
 	}
@@ -300,7 +306,7 @@ func (st *spillStore) seal(s, upto int) error {
 	for i := 0; i < n; i++ {
 		putEdge(edges[i*runEdgeSz:], t.edges[i])
 	}
-	if err := w.finish(edges); err != nil {
+	if err := st.finishRun(w, edges); err != nil {
 		return err
 	}
 	r, err := openRun(w.path, st.kw, false)
@@ -324,6 +330,29 @@ func (st *spillStore) seal(s, upto int) error {
 	return nil
 }
 
+// newRun starts the store's next run file, whose first edge has global
+// index base.
+func (st *spillStore) newRun(base uint64) (*runWriter, error) {
+	w, err := newRunWriter(st.dir, st.nextSeq, st.kw, base)
+	if err != nil {
+		return nil, err
+	}
+	w.durable = st.durable
+	return w, nil
+}
+
+// finishRun completes w (runWriter.finish), counting it when it was
+// fsynced.
+func (st *spillStore) finishRun(w *runWriter, edges []byte) error {
+	if err := w.finish(edges); err != nil {
+		return err
+	}
+	if w.synced {
+		st.synced++
+	}
+	return nil
+}
+
 // compact merges all of shard s's runs into one. Runs hold disjoint
 // key sets (a key is sealed exactly once), so the merge is a plain
 // k-way interleave; edge sections concatenate in base order to stay in
@@ -332,7 +361,7 @@ func (st *spillStore) compact(s int) error {
 	sh := &st.shards[s]
 	old := append([]*runReader(nil), sh.runs...)
 	sort.Slice(old, func(i, j int) bool { return old[i].base < old[j].base })
-	w, err := newRunWriter(st.dir, st.nextSeq, st.kw, old[0].base)
+	w, err := st.newRun(old[0].base)
 	if err != nil {
 		return err
 	}
@@ -385,7 +414,7 @@ func (st *spillStore) compact(s int) error {
 		}
 		edges = append(edges, raw...)
 	}
-	if err := w.finish(edges); err != nil {
+	if err := st.finishRun(w, edges); err != nil {
 		return err
 	}
 	r, err := openRun(w.path, st.kw, false)

@@ -131,6 +131,38 @@ func TestSpillCompaction(t *testing.T) {
 	}
 }
 
+// TestSpillRunsDurableOnlyWithCheckpoint: a session fsyncs every run
+// file it writes (seals and compactions alike) if and only if it
+// checkpoints, because only a checkpoint manifest names runs after a
+// crash; a private spill directory dies with the session. The budget
+// forces compactions too, so both writers are covered.
+func TestSpillRunsDurableOnlyWithCheckpoint(t *testing.T) {
+	opts := Options{Protocol: protocol.MustNew("bitar"), Procs: 3, Blocks: 2, Depth: 6,
+		Symmetry: true, MemBudget: 4096}
+	o := opts.withDefaults()
+	for _, ckpt := range []bool{false, true} {
+		s := newSession(o, 0, 1, -1)
+		if ckpt {
+			if err := s.SetCheckpointDir(t.TempDir(), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, _, err := explore(o, []ShardPeer{s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		written, synced := s.st.nextSeq, s.st.synced
+		s.Close()
+		if res.Counterexample != nil || written <= s.st.seals {
+			t.Fatalf("checkpoint=%v: %d run files from %d seals; the test needs a clean run that compacts",
+				ckpt, written, s.st.seals)
+		}
+		if want := map[bool]int{false: 0, true: written}[ckpt]; synced != want {
+			t.Errorf("checkpoint=%v: %d of %d run files fsynced, want %d", ckpt, synced, written, want)
+		}
+	}
+}
+
 // TestSpillTruncationParity checks the MaxStates cutoff is unchanged
 // by spilling.
 func TestSpillTruncationParity(t *testing.T) {

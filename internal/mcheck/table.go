@@ -160,7 +160,9 @@ func (t *shardTable) insert(key []uint64, h uint64, e edge) int {
 }
 
 // keySet is the per-worker intra-level duplicate filter: the same
-// open-addressing scheme without parent edges. Its arena doubles as
+// open-addressing scheme without parent edges. It holds the successors
+// the worker handled this level — mailed, or found already visited —
+// all of which passed the invariant suite. Its arena doubles as
 // the worker's candidate-key storage: a mailed candidate's key aliases
 // it until the level's absorb has copied the winners into the store.
 // The arena is a list of fixed chunks, so keys never move: a growing
@@ -195,20 +197,25 @@ func (s *keySet) key(i int) []uint64 {
 	return s.chunks[i/keySetChunk][o : o+s.kw : o+s.kw]
 }
 
-// add inserts key unless present. It returns the entry index and
-// whether the key was newly added.
-func (s *keySet) add(key []uint64, h uint64) (int, bool) {
+// find looks key up. It returns the key's entry index, or -1 and the
+// empty slot where insert places it.
+func (s *keySet) find(key []uint64, h uint64) (int, uint64) {
 	pos := h & s.mask
 	for {
 		sl := s.slots[pos]
 		if sl == 0 {
-			break
+			return -1, pos
 		}
 		if i := int(sl - 1); s.hashes[i] == h && equalKey(s.key(i), key) {
-			return i, false
+			return i, pos
 		}
 		pos = (pos + 1) & s.mask
 	}
+}
+
+// insert adds key, which find has just reported absent at slot pos,
+// and returns its entry index.
+func (s *keySet) insert(key []uint64, h, pos uint64) int {
 	if 4*(s.n+1) > 3*len(s.slots) {
 		ns := make([]uint32, 2*len(s.slots))
 		nm := uint64(len(ns) - 1)
@@ -233,5 +240,5 @@ func (s *keySet) add(key []uint64, h uint64) (int, bool) {
 	copy(s.key(i), key)
 	s.hashes = append(s.hashes, h)
 	s.slots[pos] = uint32(i + 1)
-	return i, true
+	return i
 }

@@ -68,10 +68,11 @@ func New(g addr.Geometry) *Memory {
 }
 
 // SetJournal attaches j (nil detaches): from now on WriteBlock,
-// WriteWord and SetLockTag record their block in j. Respond writes
-// through the first two; its update of a tag's Waiter bit, the source
-// bits and the directory are not recorded — no coherence invariant
-// reads them.
+// WriteWord and SetLockTag record their block in j, and so does
+// Respond when it sets a lock tag's Waiter bit — no coherence
+// invariant reads that bit, but the model checker's state key encodes
+// it. Respond's data writes go through the first two. The source bits
+// and the directory are not recorded.
 func (m *Memory) SetJournal(j *addr.Journal) { m.journal = j }
 
 // note records block b in the attached journal, if any.
@@ -169,6 +170,7 @@ func (m *Memory) Respond(t *bus.Transaction) (supplied bool) {
 				t.Lines.Locked = true
 				if !tag.Waiter {
 					tag.Waiter = true
+					m.note(t.Block)
 					m.lockTags[t.Block] = tag
 				}
 				return false

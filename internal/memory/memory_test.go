@@ -257,3 +257,22 @@ func TestLockTagDenialProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRespondJournalsWaiterBit: a denied fetch that sets a lock tag's
+// Waiter bit records the block, because the model checker's state key
+// encodes the bit; a second denial, which changes nothing, does not.
+func TestRespondJournalsWaiterBit(t *testing.T) {
+	m := New(g4)
+	m.SetLockTag(7, LockTag{Locked: true, Owner: 3})
+	var j addr.Journal
+	m.SetJournal(&j)
+	m.Respond(&bus.Transaction{Cmd: bus.Read, Block: 7, Requester: 0})
+	if got := j.Sorted(); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("journal after the first denial = %v, want [7]", got)
+	}
+	j.Reset()
+	m.Respond(&bus.Transaction{Cmd: bus.Read, Block: 7, Requester: 1})
+	if got := j.Sorted(); len(got) != 0 {
+		t.Errorf("journal after a repeat denial = %v, want []", got)
+	}
+}

@@ -28,7 +28,11 @@
 # absorb, and the simulate, sweep, check and shard-open request
 # decoders); the differential sim<->mcheck harness; the incremental
 # online checker against the full invariant sweep; the checker's
-# journal-scoped re-check against its full-universe check; the
+# incremental transitions (its journal-scoped re-check against its
+# full-universe check, the journal covering every change of the state
+# key, its scoped restore against a full restore, and the exact work
+# gate of one invariant-suite run per new state); spill runs fsynced
+# exactly when a checkpoint directory is set; the
 # distributed-check differential (a /v1/check sharded across a
 # 3-replica fleet must be byte-identical to a single replica's
 # answer, counterexamples included — and stay so when a replica is
