@@ -403,8 +403,9 @@ func (c *Cache) PrepareFill(b addr.Block) Victim {
 		return Victim{}
 	}
 	set := c.sets[c.setIndex(b)]
-	// Prefer an unused frame, then an invalid (tag-only) frame, then
-	// the LRU valid line.
+	// Take the first frame in set order that is unused or invalid
+	// (tag-only), whichever comes first; only a set of valid lines
+	// falls to the replacement policy.
 	var victim *line
 	for i := range set {
 		ln := &set[i]

@@ -441,6 +441,38 @@ func TestPrepareFillJournalsTagOnlyReuse(t *testing.T) {
 	}
 }
 
+// TestPrepareFillTakesFirstFreeOrTagOnlyFrame pins the frame rule: the
+// first frame in set order that is unused or tag-only is taken,
+// whichever comes first. A fill into [b0 tag-only, unused] reuses b0's
+// frame and drops its tag; a fill into [unused, b0 tag-only] takes the
+// unused frame and keeps it. Rudolph's table row and the workload
+// digests depend on this order.
+func TestPrepareFillTakesFirstFreeOrTagOnlyFrame(t *testing.T) {
+	tagOnly := LineSnapshot{Block: 0, State: core.I, Data: []uint64{1, 2, 3, 4}}
+
+	c, _ := newCache(t, 0, Config{Sets: 1, Ways: 2})
+	c.Restore([]LineSnapshot{tagOnly})
+	if v := c.PrepareFill(1); v.Needed {
+		t.Fatalf("[b0 tag-only, unused]: eviction %+v", v)
+	}
+	if _, _, ok := c.FrameView(0); ok {
+		t.Error("[b0 tag-only, unused]: b0's tag kept, want its frame reused")
+	}
+
+	c, _ = newCache(t, 0, Config{Sets: 1, Ways: 2})
+	c.Restore([]LineSnapshot{{Block: 2, State: core.RSC, Data: []uint64{5, 6, 7, 8}}, tagOnly})
+	c.Drop(2)
+	if got := frames(c); got[0].Block != ^addr.Block(0) || got[1].Block != 0 {
+		t.Fatalf("frames = %+v, want [unused, b0]", got)
+	}
+	if v := c.PrepareFill(1); v.Needed {
+		t.Fatalf("[unused, b0 tag-only]: eviction %+v", v)
+	}
+	if _, _, ok := c.FrameView(0); !ok {
+		t.Error("[unused, b0 tag-only]: b0's tag dropped, want the unused frame taken")
+	}
+}
+
 // frames lists a cache's frames in order, as the model checker's
 // executor can observe them: tag, state and data of each tagged frame,
 // nothing for an untagged one.

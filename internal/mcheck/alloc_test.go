@@ -34,8 +34,8 @@ func exploreMallocs(t *testing.T, o Options) (transitions int64, mallocs uint64)
 // only for a violation, and canonicalization works in canonizer
 // scratch. Comparing a shallow and a deep bound isolates the marginal
 // cost. The configurations cover the lock path (bitar), the update
-// path (dragon) and a multi-block invalidation protocol (illinois),
-// with and without symmetry.
+// path (dragon), a multi-block invalidation protocol (illinois) and the
+// partial-broadcast directory (censier), with and without symmetry.
 func TestExpandSteadyStateAllocs(t *testing.T) {
 	const perTransitionMax = 0.01
 	for _, tc := range []struct {
@@ -55,6 +55,8 @@ func TestExpandSteadyStateAllocs(t *testing.T) {
 		{proto: "dragon", blocks: 2, shallow: 5, deep: 7, symmetry: true},
 		{proto: "illinois", blocks: 2, shallow: 4, deep: 5},
 		{proto: "illinois", blocks: 2, shallow: 5, deep: 7, symmetry: true},
+		{proto: "censier", blocks: 2, shallow: 4, deep: 5},
+		{proto: "censier", blocks: 2, shallow: 5, deep: 7, symmetry: true},
 	} {
 		o := Options{Protocol: protocol.MustNew(tc.proto), Procs: 3, Blocks: tc.blocks, Words: 2,
 			Workers: 1, Symmetry: tc.symmetry}

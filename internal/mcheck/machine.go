@@ -51,11 +51,11 @@ type machine struct {
 
 	// Reused scratch buffers: restore/encode run once per explored
 	// transition, so they must not allocate.
-	lay     keyLayout
-	keyBuf  []uint64
-	dirIDs  []int
-	actsBuf []Action
-	touched []addr.Block // stepBlocks' result
+	lay        keyLayout
+	keyBuf     []uint64
+	dirTargets []int // a directory lookup's holders
+	actsBuf    []Action
+	touched    []addr.Block // stepBlocks' result
 
 	// canon holds the processor-symmetry canonicalizer (nil when
 	// Options.Symmetry is off).
@@ -356,7 +356,8 @@ func (m *machine) buildTxn(a Action, c *cache.Cache, at addr.Addr, op protocol.O
 // partial-broadcast (directory) scheme.
 func (m *machine) broadcast(t *bus.Transaction) {
 	if m.feats.PartialBroadcast && t.Cmd != bus.Flush {
-		for _, id := range m.mem.Dir.Members(t.Block, t.Requester) {
+		m.dirTargets = m.mem.Dir.Members(m.dirTargets[:0], t.Block, t.Requester)
+		for _, id := range m.dirTargets {
 			m.caches[id].Snoop(t)
 		}
 		return
@@ -696,14 +697,7 @@ func (m *machine) restoreSections(k []uint64, blocks []addr.Block) {
 			tag = memory.LockTag{Locked: true, Owner: int(lw >> 2 & 7), Waiter: lw&2 != 0}
 		}
 		m.mem.SetLockTag(b, tag)
-		m.dirIDs = m.dirIDs[:0]
-		mask := lw >> 8 & 0xff
-		for id := 0; id < m.opts.Procs; id++ {
-			if mask&(1<<uint(id)) != 0 {
-				m.dirIDs = append(m.dirIDs, id)
-			}
-		}
-		m.mem.Dir.Set(b, m.dirIDs)
+		m.mem.Dir.Set(b, lw>>8&0xff)
 		copy(m.shadow[int(b)*lay.words:(int(b)+1)*lay.words], k[pos:pos+lay.words])
 	}
 	if m.journal != nil {

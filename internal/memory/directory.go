@@ -1,7 +1,7 @@
 package memory
 
 import (
-	"sort"
+	"math/bits"
 
 	"cachesync/internal/addr"
 )
@@ -13,82 +13,61 @@ import (
 // broadcast. The paper's Section A.2 contrasts this with full
 // broadcast, whose operation "is entirely distributed and parallel,
 // hence is fast" at the price of a more complex memory.
+//
+// A block's presence is one bitmask over cache IDs (IDs ≥ 64 are not
+// representable; simulated machines are far smaller). A block keeps its
+// entry once recorded, empty or not, so no update allocates after a
+// block's first.
 type Directory struct {
-	presence map[addr.Block]map[int]bool
+	presence map[addr.Block]uint64
 }
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{presence: make(map[addr.Block]map[int]bool)}
+	return &Directory{presence: make(map[addr.Block]uint64)}
 }
 
 // Add records that cache id holds block b.
-func (d *Directory) Add(b addr.Block, id int) {
-	set, ok := d.presence[b]
-	if !ok {
-		set = make(map[int]bool)
-		d.presence[b] = set
-	}
-	set[id] = true
-}
+func (d *Directory) Add(b addr.Block, id int) { d.presence[b] |= 1 << uint(id) }
 
 // Remove clears cache id's presence for block b.
 func (d *Directory) Remove(b addr.Block, id int) {
-	if set, ok := d.presence[b]; ok {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(d.presence, b)
-		}
+	if m, ok := d.presence[b]; ok {
+		d.presence[b] = m &^ (1 << uint(id))
 	}
 }
 
 // SetSole records cache id as the only holder of block b (after an
 // invalidating acquisition).
-func (d *Directory) SetSole(b addr.Block, id int) {
-	d.presence[b] = map[int]bool{id: true}
+func (d *Directory) SetSole(b addr.Block, id int) { d.presence[b] = 1 << uint(id) }
+
+// Members appends to dst the caches recorded as holding block b, in
+// ascending ID order, excluding exclude (pass a negative value to
+// exclude nobody), and returns the extended slice.
+func (d *Directory) Members(dst []int, b addr.Block, exclude int) []int {
+	m := d.presence[b]
+	if exclude >= 0 {
+		m &^= 1 << uint(exclude)
+	}
+	for ; m != 0; m &= m - 1 {
+		dst = append(dst, bits.TrailingZeros64(m))
+	}
+	return dst
 }
 
-// Members returns the caches recorded as holding block b, sorted,
-// excluding exclude (pass a negative value to exclude nobody).
-func (d *Directory) Members(b addr.Block, exclude int) []int {
-	set := d.presence[b]
-	out := make([]int, 0, len(set))
-	for id := range set {
-		if id != exclude {
-			out = append(out, id)
-		}
+// Set replaces block b's presence record with mask, in Mask's form (0
+// clears it). It is the restore hook of the bounded model checker,
+// which re-materializes directory state when revisiting an explored
+// state.
+func (d *Directory) Set(b addr.Block, mask uint64) {
+	if _, ok := d.presence[b]; ok || mask != 0 {
+		d.presence[b] = mask
 	}
-	sort.Ints(out)
-	return out
-}
-
-// Set replaces block b's presence record with exactly ids (an empty
-// list clears it). It is the restore hook of the bounded model
-// checker, which re-materializes directory state when revisiting an
-// explored state.
-func (d *Directory) Set(b addr.Block, ids []int) {
-	if len(ids) == 0 {
-		delete(d.presence, b)
-		return
-	}
-	set := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		set[id] = true
-	}
-	d.presence[b] = set
 }
 
 // Mask returns block b's presence set as a bitmask over cache IDs —
-// the allocation-free accessor of the model checker's state encoder
-// (IDs ≥ 64 would not be representable; simulated machines are far
-// smaller).
-func (d *Directory) Mask(b addr.Block) uint64 {
-	var m uint64
-	for id := range d.presence[b] {
-		m |= 1 << uint(id)
-	}
-	return m
-}
+// the allocation-free accessor of the model checker's state encoder.
+func (d *Directory) Mask(b addr.Block) uint64 { return d.presence[b] }
 
 // Holders returns the number of caches recorded for block b.
-func (d *Directory) Holders(b addr.Block) int { return len(d.presence[b]) }
+func (d *Directory) Holders(b addr.Block) int { return bits.OnesCount64(d.presence[b]) }

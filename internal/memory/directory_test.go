@@ -7,16 +7,16 @@ import (
 
 func TestDirectoryAddRemove(t *testing.T) {
 	d := NewDirectory()
-	if got := d.Members(1, -1); len(got) != 0 {
+	if got := d.Members(nil, 1, -1); len(got) != 0 {
 		t.Fatalf("fresh directory has members: %v", got)
 	}
 	d.Add(1, 2)
 	d.Add(1, 0)
 	d.Add(1, 2) // idempotent
-	if got := d.Members(1, -1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	if got := d.Members(nil, 1, -1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("Members = %v, want [0 2]", got)
 	}
-	if got := d.Members(1, 2); len(got) != 1 || got[0] != 0 {
+	if got := d.Members(nil, 1, 2); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Members excluding 2 = %v, want [0]", got)
 	}
 	d.Remove(1, 0)
@@ -36,7 +36,7 @@ func TestDirectorySetSole(t *testing.T) {
 	d.Add(3, 1)
 	d.Add(3, 2)
 	d.SetSole(3, 1)
-	if got := d.Members(3, -1); len(got) != 1 || got[0] != 1 {
+	if got := d.Members(nil, 3, -1); len(got) != 1 || got[0] != 1 {
 		t.Errorf("after SetSole: %v, want [1]", got)
 	}
 }
@@ -49,7 +49,7 @@ func TestDirectoryMembersProperty(t *testing.T) {
 		for _, a := range adds {
 			d.Add(5, int(a%16))
 		}
-		got := d.Members(5, int(exclude%16))
+		got := d.Members(nil, 5, int(exclude%16))
 		seen := map[int]bool{}
 		prev := -1
 		for _, id := range got {
@@ -63,5 +63,36 @@ func TestDirectoryMembersProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDirectoryMaskRoundTrip: Set takes Mask's form back, Members
+// appends to the caller's buffer, and no update allocates once a
+// block has an entry — the model checker restores the directory on
+// every explored transition.
+func TestDirectoryMaskRoundTrip(t *testing.T) {
+	d := NewDirectory()
+	d.Set(2, 0b1011)
+	if d.Mask(2) != 0b1011 || d.Holders(2) != 3 {
+		t.Fatalf("Mask = %b, Holders = %d after Set(0b1011)", d.Mask(2), d.Holders(2))
+	}
+	buf := []int{7}
+	if got := d.Members(buf, 2, 1); len(got) != 3 || got[0] != 7 || got[1] != 0 || got[2] != 3 {
+		t.Fatalf("Members appended %v, want [7 0 3]", got)
+	}
+	d.Set(2, 0)
+	if d.Holders(2) != 0 || len(d.Members(nil, 2, -1)) != 0 {
+		t.Fatal("Set(0) left holders")
+	}
+	scratch := make([]int, 0, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		d.Add(2, 1)
+		d.SetSole(2, 0)
+		d.Remove(2, 0)
+		d.Set(2, 0b110)
+		scratch = d.Members(scratch[:0], 2, -1)
+	})
+	if allocs != 0 {
+		t.Fatalf("directory updates allocate %.1f times per round", allocs)
 	}
 }

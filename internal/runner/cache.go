@@ -21,14 +21,16 @@ import (
 // sources, the job's identity, or its parameters misses, so a warm
 // cache can only replay results the current code would reproduce.
 //
-// A Cache is safe for concurrent use. Same-key writers are collapsed
-// by Do's in-process single flight, and every writer lands its entry
-// via a unique temp file renamed into place, so even independent
-// processes sharing the directory can only ever observe a complete
-// entry.
+// Entries live in an append-only result log (see resultlog.go): each
+// Cache appends to a segment file of its own and finds entries through
+// an in-RAM keydir. A Cache is safe for concurrent use. Same-key
+// writers are collapsed by Do's in-process single flight, and writers
+// in other processes sharing the directory append to segments of their
+// own, which a local miss picks up: every reader sees only whole
+// records.
 type Cache struct {
-	dir        string
 	sourceHash string
+	log        *resultLog
 	flight     flight.Group[doResult]
 	fetcher    atomic.Pointer[Fetcher]
 }
@@ -65,11 +67,13 @@ type doResult struct {
 // root (git-ignored).
 const DefaultCacheDir = ".runnercache"
 
-// OpenCache opens (creating if needed) the cache directory and
-// computes the source hash. An empty dir selects DefaultCacheDir
-// under the module root; a relative dir is also resolved against the
-// module root, so cached results are shared no matter which directory
-// the driver runs from.
+// OpenCache opens (creating if needed) the cache directory, computes
+// the source hash and indexes the segments written under it. An empty
+// dir selects DefaultCacheDir under the module root; a relative dir is
+// also resolved against the module root, so cached results are shared
+// no matter which directory the command runs from. Other files in the
+// directory, such as the <key>.json entries of earlier builds, are
+// never read.
 func OpenCache(dir string) (*Cache, error) {
 	root, err := moduleRoot()
 	if err != nil {
@@ -88,36 +92,48 @@ func OpenCache(dir string) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cache{dir: dir, sourceHash: src}, nil
+	return openCacheHash(dir, src)
+}
+
+// openCacheHash opens the cache in an existing dir under a given
+// source hash, indexing every segment that source tree wrote there.
+func openCacheHash(dir, sourceHash string) (*Cache, error) {
+	log, err := openLog(dir, sourceHash)
+	if err != nil {
+		return nil, fmt.Errorf("runner: cache dir: %w", err)
+	}
+	return &Cache{sourceHash: sourceHash, log: log}, nil
 }
 
 // SourceHashValue exposes the computed source hash (for artifact
 // metadata).
 func (c *Cache) SourceHashValue() string { return c.sourceHash }
 
-// key derives the entry filename for a job.
-func (c *Cache) key(j Job) string {
-	return c.KeyFor(j.Name, j.ConfigHash)
-}
-
-// KeyFor derives the content-addressed raw key for a (job name, config
-// hash) pair under this cache's source tree. Two processes built from
-// the same sources compute identical keys, which is what makes raw
-// keys exchangeable between replicas.
-func (c *Cache) KeyFor(name, configHash string) string {
+// rawKey derives the 32-byte key the log stores a job's entry under.
+func (c *Cache) rawKey(name, configHash string) [32]byte {
 	h := sha256.New()
 	io.WriteString(h, c.sourceHash)
 	io.WriteString(h, "\x00")
 	io.WriteString(h, name)
 	io.WriteString(h, "\x00")
 	io.WriteString(h, configHash)
-	return hex.EncodeToString(h.Sum(nil))
+	var k [32]byte
+	h.Sum(k[:0])
+	return k
+}
+
+// KeyFor derives the content-addressed raw key for a (job name, config
+// hash) pair under this cache's source tree, in hex. Two processes
+// built from the same sources compute identical keys, which is what
+// makes raw keys exchangeable between replicas.
+func (c *Cache) KeyFor(name, configHash string) string {
+	k := c.rawKey(name, configHash)
+	return hex.EncodeToString(k[:])
 }
 
 // validKey reports whether key has the shape KeyFor produces —
 // exactly 64 lowercase hex digits. Raw keys arrive over the network
-// (GET /v1/artifact/{key}); anything else must not touch the
-// filesystem.
+// (GET /v1/artifact/{key}); anything else must not reach the log.
 func validKey(key string) bool {
 	if len(key) != sha256.Size*2 {
 		return false
@@ -142,8 +158,9 @@ type cacheEntry struct {
 // Get recalls a job's artifact, reporting whether a valid entry
 // existed. Unreadable or mismatched entries are treated as misses.
 func (c *Cache) Get(j Job) (Artifact, bool) {
-	data, err := os.ReadFile(filepath.Join(c.dir, c.key(j)+".json"))
-	if err != nil {
+	key := c.rawKey(j.Name, j.ConfigHash)
+	data, ok := c.log.get(&key)
+	if !ok {
 		return Artifact{}, false
 	}
 	var e cacheEntry
@@ -151,7 +168,7 @@ func (c *Cache) Get(j Job) (Artifact, bool) {
 		return Artifact{}, false
 	}
 	// The key already encodes all three fields; the body check guards
-	// against hash-file collisions from manual tampering.
+	// against key collisions from tampering.
 	if e.Name != j.Name || e.ConfigHash != j.ConfigHash || e.SourceHash != c.sourceHash {
 		return Artifact{}, false
 	}
@@ -162,20 +179,22 @@ func (c *Cache) Get(j Job) (Artifact, bool) {
 // side of the fleet artifact exchange. It only answers for well-formed
 // keys whose stored entry verifies: the embedded fields must re-derive
 // the requested key under this cache's source hash, so a process built
-// from different sources (or a tampered file) reads as a miss.
+// from different sources (or a tampered record) reads as a miss.
 func (c *Cache) GetRaw(key string) ([]byte, bool) {
 	if !validKey(key) {
 		return nil, false
 	}
-	data, err := os.ReadFile(filepath.Join(c.dir, key+".json"))
-	if err != nil {
+	var raw [32]byte
+	hex.Decode(raw[:], []byte(key)) // validKey admitted only hex digits
+	data, ok := c.log.get(&raw)
+	if !ok {
 		return nil, false
 	}
 	var e cacheEntry
 	if err := json.Unmarshal(data, &e); err != nil {
 		return nil, false
 	}
-	if e.SourceHash != c.sourceHash || c.KeyFor(e.Name, e.ConfigHash) != key {
+	if e.SourceHash != c.sourceHash || c.rawKey(e.Name, e.ConfigHash) != raw {
 		return nil, false
 	}
 	return data, true
@@ -202,33 +221,18 @@ func (c *Cache) PutRaw(key string, data []byte) (Artifact, bool) {
 	return e.Artifact, true
 }
 
-// Put stores a job's artifact. Failures are deliberately silent: a
-// read-only disk degrades to an always-miss cache, never to a failed
-// regeneration. The entry is written to a unique temp file and renamed
-// into place, so concurrent writers of the same key — racing
-// goroutines, or entirely separate processes — can never leave a
-// truncated or interleaved entry behind: rename is atomic, and last
-// writer wins with an identical body.
+// Put stores a job's artifact as one record appended to this cache's
+// own segment. Failures are deliberately silent: a disk where no
+// segment can be created degrades to an always-miss cache, never to a
+// failed regeneration.
 func (c *Cache) Put(j Job, art Artifact) {
 	e := cacheEntry{Name: j.Name, ConfigHash: j.ConfigHash, SourceHash: c.sourceHash, Artifact: art}
 	data, err := json.Marshal(e)
 	if err != nil {
 		return
 	}
-	path := filepath.Join(c.dir, c.key(j)+".json")
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-	}
+	key := c.rawKey(j.Name, j.ConfigHash)
+	c.log.put(&key, data)
 }
 
 // Do runs a job through the cache with single-flight semantics: a hit
@@ -237,7 +241,7 @@ func (c *Cache) Put(j Job, art Artifact) {
 // share its artifact. Successful executions are stored; errors are
 // shared with the waiting callers and never cached.
 func (c *Cache) Do(j Job, run func() (Artifact, error)) (art Artifact, cached, shared bool, err error) {
-	key := c.key(j)
+	key := c.KeyFor(j.Name, j.ConfigHash)
 	r, shared, err := c.flight.Do(key, func() (doResult, error) {
 		// Recheck under the flight: a caller that queued behind a
 		// completed leader finds the entry the leader just stored.

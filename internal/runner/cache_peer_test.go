@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -34,7 +33,8 @@ func TestKeyForStableAcrossCaches(t *testing.T) {
 }
 
 func TestGetRawRejectsBadKeysAndTampering(t *testing.T) {
-	c := openCacheAt(t, filepath.Join(t.TempDir(), "cache"))
+	dir := filepath.Join(t.TempDir(), "cache")
+	c := openCacheAt(t, dir)
 	j := Job{Name: "simulate", ConfigHash: "cfg"}
 	c.Put(j, Artifact{Name: "simulate", Output: "out", Pass: true})
 	key := c.KeyFor(j.Name, j.ConfigHash)
@@ -48,14 +48,24 @@ func TestGetRawRejectsBadKeysAndTampering(t *testing.T) {
 		}
 	}
 
-	// An entry renamed to a key it does not derive to must read as a miss.
-	other := c.KeyFor("simulate", "other-cfg")
-	data, _ := os.ReadFile(filepath.Join(c.dir, key+".json"))
-	if err := os.WriteFile(filepath.Join(c.dir, other+".json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.GetRaw(other); ok {
-		t.Fatal("GetRaw served an entry under a key it does not verify against")
+	// An entry planted under a key it does not derive to must read as a
+	// miss, here and for a second instance that indexes the record from
+	// the segment.
+	data, _ := c.GetRaw(key)
+	otherJob := Job{Name: "simulate", ConfigHash: "other-cfg"}
+	other := c.rawKey(otherJob.Name, otherJob.ConfigHash)
+	c.log.put(&other, data)
+	second := openCacheAt(t, dir)
+	for name, cc := range map[string]*Cache{"writer": c, "second instance": second} {
+		if _, ok := cc.GetRaw(c.KeyFor(otherJob.Name, otherJob.ConfigHash)); ok {
+			t.Fatalf("%s: GetRaw served an entry under a key it does not verify against", name)
+		}
+		if _, ok := cc.Get(otherJob); ok {
+			t.Fatalf("%s: Get served another job's entry", name)
+		}
+		if got, ok := cc.GetRaw(key); !ok || string(got) != string(data) {
+			t.Fatalf("%s: the genuine entry no longer reads back", name)
+		}
 	}
 }
 

@@ -97,7 +97,11 @@ func testCache(t *testing.T, dir, sourceHash string) *Cache {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	return &Cache{dir: dir, sourceHash: sourceHash}
+	c, err := openCacheHash(dir, sourceHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestCacheSkipsUnchangedJobs(t *testing.T) {

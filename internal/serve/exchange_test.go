@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -53,6 +55,50 @@ func TestXCacheHeader(t *testing.T) {
 	code, hdr, _ = postJSON(t, ts.URL+"/v1/simulate", cfg)
 	if code != http.StatusOK || hdr.Get("X-Cache") != "hit" {
 		t.Fatalf("repeat request: code=%d X-Cache=%q, want 200/hit", code, hdr.Get("X-Cache"))
+	}
+}
+
+// TestCacheSurvivesRestart: a daemon dropped without Close leaves every
+// result it stored to the next daemon over the same cache directory,
+// which answers an earlier simulate as a hit, byte-identical to the
+// first daemon's own cache hit but for the job id.
+func TestCacheSurvivesRestart(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	first := New(Config{Workers: 2, Cache: openCache(t, dir)})
+	ts1 := httptest.NewServer(first.Handler())
+	t.Cleanup(func() {
+		ts1.Close()
+		first.Close()
+	})
+	cfg := simrun.Config{Protocol: "illinois", Ops: 300, Seed: 83}
+	if code, hdr, body := postJSON(t, ts1.URL+"/v1/simulate", cfg); code != http.StatusOK || hdr.Get("X-Cache") != "miss" {
+		t.Fatalf("first daemon: code=%d X-Cache=%q (%s), want 200/miss", code, hdr.Get("X-Cache"), body)
+	}
+	code, hdr, hit := postJSON(t, ts1.URL+"/v1/simulate", cfg)
+	if code != http.StatusOK || hdr.Get("X-Cache") != "hit" {
+		t.Fatalf("first daemon repeat: code=%d X-Cache=%q, want 200/hit", code, hdr.Get("X-Cache"))
+	}
+
+	_, ts2 := newTestServer(t, Config{Workers: 2, Cache: openCache(t, dir)})
+	code, hdr, again := postJSON(t, ts2.URL+"/v1/simulate", cfg)
+	if code != http.StatusOK || hdr.Get("X-Cache") != "hit" {
+		t.Fatalf("restarted daemon: code=%d X-Cache=%q, want 200/hit", code, hdr.Get("X-Cache"))
+	}
+	// Every field but the daemon-local job id must match byte for byte.
+	var a, b map[string]json.RawMessage
+	if err := json.Unmarshal(again, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(hit, &b); err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("restarted daemon's hit has other fields:\n%s\nvs\n%s", again, hit)
+	}
+	for k, v := range b {
+		if k != "job" && !bytes.Equal(a[k], v) {
+			t.Fatalf("restarted daemon's hit differs in %q:\n%s\nvs\n%s", k, a[k], v)
+		}
 	}
 }
 

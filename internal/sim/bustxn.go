@@ -225,7 +225,8 @@ func (s *System) serveTxn(ctx *opCtx) {
 		// Directory system (Censier-Feautrier): memory looks up the
 		// presence directory and sends point-to-point messages to the
 		// recorded holders — serialized, unlike a broadcast snoop.
-		targets := s.Mem.Dir.Members(b, ctx.p.id)
+		s.dirTargets = s.Mem.Dir.Members(s.dirTargets[:0], b, ctx.p.id)
+		targets := s.dirTargets
 		for _, id := range targets {
 			s.Caches[id].Snoop(t)
 		}

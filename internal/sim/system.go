@@ -152,6 +152,7 @@ type System struct {
 	ctxs       []opCtx
 	waiters    map[addr.Block][]int // busy-wait parked processors per block
 	waiterPool [][]int              // retired waiter slices for reuse
+	dirTargets []int                // a directory lookup's holders, reused
 	doneN      int
 	started    bool
 

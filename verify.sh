@@ -8,8 +8,9 @@
 # check (the disk-backed exploration holds half its in-RAM sibling's
 # states/s, both measured in one process), the mcheck kill-and-resume
 # smoke (SIGKILL a checkpointing run, resume it, byte-identical
-# summary), a live cachesyncd smoke (start, probe — including the
-# -pprof diagnostic mount — graceful stop), and the serving and
+# summary), a live cachesyncd smoke (start with a result cache, probe —
+# including the -pprof diagnostic mount — graceful stop, then a second
+# daemon over the same cache directory probed again), and the serving and
 # cluster load runs: every request 2xx and tagged with X-Cache below
 # the admission limit, only clean 429s under overload, at least 0.3×
 # the offered rate completed at a median latency of at most 1 s — the
@@ -25,8 +26,8 @@
 # transition tables, the workload digests, the lock-trace report and
 # DEEP_mcheck.json; a missing file fails); the fuzz targets in
 # seed-corpus mode (trace codecs, workload replay, run files, shard
-# absorb, and the simulate, sweep, check and shard-open request
-# decoders); the differential sim<->mcheck harness; the incremental
+# absorb, the runner cache's segment scan (FuzzCacheSegment), and the
+# simulate, sweep, check and shard-open request decoders); the differential sim<->mcheck harness; the incremental
 # online checker against the full invariant sweep; the checker's
 # incremental transitions (its journal-scoped re-check against its
 # full-universe check, the journal covering every change of the state
@@ -114,12 +115,13 @@ cmp "$mctmp/full.json" "$mctmp/resumed.json"
 echo "mcheck: resumed run byte-identical after SIGKILL"
 rm -rf "$mctmp"
 
-echo "== cachesyncd smoke (start, /healthz, simulate, check, pprof, graceful stop)"
+echo "== cachesyncd smoke (start, /healthz, simulate, check, pprof, graceful stop, restart over its cache)"
 smoketmp=$(mktemp -d)
 trap 'rm -rf "$smoketmp"' EXIT
 go build -o "$smoketmp/cachesyncd" ./cmd/cachesyncd
 go build -o "$smoketmp/loadgen" ./cmd/loadgen
-"$smoketmp/cachesyncd" -addr 127.0.0.1:0 -portfile "$smoketmp/port" -pprof >"$smoketmp/daemon.log" 2>&1 &
+"$smoketmp/cachesyncd" -addr 127.0.0.1:0 -portfile "$smoketmp/port" -pprof \
+	-cachedir "$smoketmp/cache" >"$smoketmp/daemon.log" 2>&1 &
 dpid=$!
 if ! "$smoketmp/loadgen" -portfile "$smoketmp/port" -smoke -expect-pprof; then
 	echo "cachesyncd smoke failed; daemon log:" >&2
@@ -133,7 +135,30 @@ if ! wait "$dpid"; then
 	cat "$smoketmp/daemon.log" >&2
 	exit 1
 fi
+if ! ls "$smoketmp/cache"/*.seg >/dev/null 2>&1; then
+	echo "cachesyncd wrote no result-log segment under -cachedir" >&2
+	exit 1
+fi
 echo "cachesyncd: clean start/probe/drain/stop"
+
+# Restart over the same result log: the second daemon indexes the first
+# one's segment at open and must serve the same probes.
+"$smoketmp/cachesyncd" -addr 127.0.0.1:0 -portfile "$smoketmp/port2" \
+	-cachedir "$smoketmp/cache" >"$smoketmp/daemon2.log" 2>&1 &
+dpid=$!
+if ! "$smoketmp/loadgen" -portfile "$smoketmp/port2" -smoke; then
+	echo "cachesyncd restart smoke failed; daemon log:" >&2
+	cat "$smoketmp/daemon2.log" >&2
+	kill "$dpid" 2>/dev/null || true
+	exit 1
+fi
+kill -TERM "$dpid"
+if ! wait "$dpid"; then
+	echo "restarted cachesyncd did not exit cleanly on SIGTERM; daemon log:" >&2
+	cat "$smoketmp/daemon2.log" >&2
+	exit 1
+fi
+echo "cachesyncd: restart over its result log served the smoke probes"
 
 echo "== serving load run (open-loop SLO, 0.3x rate floor, 1 s median ceiling, X-Cache on every 2xx, overload shedding)"
 "$smoketmp/loadgen" -selfhost -workers 2 -queue 8 -rate 25 -duration 2s -require-shed
