@@ -3,9 +3,7 @@ package runner
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -21,9 +19,10 @@ import (
 // sources, the job's identity, or its parameters misses, so a warm
 // cache can only replay results the current code would reproduce.
 //
-// Entries live in an append-only result log (see resultlog.go): each
-// Cache appends to a segment file of its own and finds entries through
-// an in-RAM keydir. A Cache is safe for concurrent use. Same-key
+// Entries live in an append-only result log (see resultlog.go), each
+// stored as a binary entry (see entry.go): each Cache appends to a
+// segment file of its own and finds entries through an in-RAM keydir.
+// A Cache is safe for concurrent use. Same-key
 // writers are collapsed by Do's in-process single flight, and writers
 // in other processes sharing the directory append to segments of their
 // own, which a local miss picks up: every reader sees only whole
@@ -109,17 +108,16 @@ func openCacheHash(dir, sourceHash string) (*Cache, error) {
 // metadata).
 func (c *Cache) SourceHashValue() string { return c.sourceHash }
 
-// rawKey derives the 32-byte key the log stores a job's entry under.
+// rawKey derives the 32-byte key the log stores a job's entry under:
+// sha256(source hash | 0 | name | 0 | config hash).
 func (c *Cache) rawKey(name, configHash string) [32]byte {
-	h := sha256.New()
-	io.WriteString(h, c.sourceHash)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, name)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, configHash)
-	var k [32]byte
-	h.Sum(k[:0])
-	return k
+	var buf [512]byte // holds the hashed bytes of every key but the longest sweeps'
+	b := append(buf[:0], c.sourceHash...)
+	b = append(b, 0)
+	b = append(b, name...)
+	b = append(b, 0)
+	b = append(b, configHash...)
+	return sha256.Sum256(b)
 }
 
 // KeyFor derives the content-addressed raw key for a (job name, config
@@ -132,47 +130,51 @@ func (c *Cache) KeyFor(name, configHash string) string {
 }
 
 // validKey reports whether key has the shape KeyFor produces —
-// exactly 64 lowercase hex digits. Raw keys arrive over the network
-// (GET /v1/artifact/{key}); anything else must not reach the log.
-func validKey(key string) bool {
+// exactly 64 lowercase hex digits — and decodes it. Raw keys arrive
+// over the network (GET /v1/artifact/{key}); anything else must not
+// reach the log.
+func validKey(key string) ([32]byte, bool) {
+	var raw [32]byte
 	if len(key) != sha256.Size*2 {
-		return false
+		return raw, false
 	}
 	for i := 0; i < len(key); i++ {
 		c := key[i]
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
+			return raw, false
 		}
 	}
-	return true
-}
-
-// cacheEntry is the stored form of one artifact.
-type cacheEntry struct {
-	Name       string   `json:"name"`
-	ConfigHash string   `json:"config_hash"`
-	SourceHash string   `json:"source_hash"`
-	Artifact   Artifact `json:"artifact"`
+	hex.Decode(raw[:], []byte(key)) // only hex digits remain
+	return raw, true
 }
 
 // Get recalls a job's artifact, reporting whether a valid entry
 // existed. Unreadable or mismatched entries are treated as misses.
 func (c *Cache) Get(j Job) (Artifact, bool) {
 	key := c.rawKey(j.Name, j.ConfigHash)
-	data, ok := c.log.get(&key)
+	return c.get(&key, j)
+}
+
+// get is Get under the job's precomputed key.
+func (c *Cache) get(key *[32]byte, j Job) (Artifact, bool) {
+	data, ok := c.log.get(key)
 	if !ok {
 		return Artifact{}, false
 	}
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return Artifact{}, false
-	}
+	e, ok := decodeEntry(data)
 	// The key already encodes all three fields; the body check guards
 	// against key collisions from tampering.
-	if e.Name != j.Name || e.ConfigHash != j.ConfigHash || e.SourceHash != c.sourceHash {
+	if !ok || string(e.name) != j.Name || string(e.configHash) != j.ConfigHash ||
+		string(e.sourceHash) != c.sourceHash {
 		return Artifact{}, false
 	}
-	return e.Artifact, true
+	return e.artifact(j.Name), true
+}
+
+// verifies reports whether e, read or fetched under raw, was stored by
+// this source tree for a job whose key is raw.
+func (c *Cache) verifies(e *entry, raw *[32]byte) bool {
+	return string(e.sourceHash) == c.sourceHash && c.rawKey(string(e.name), string(e.configHash)) == *raw
 }
 
 // GetRaw recalls an entry's stored bytes by raw key — the serving
@@ -181,20 +183,15 @@ func (c *Cache) Get(j Job) (Artifact, bool) {
 // the requested key under this cache's source hash, so a process built
 // from different sources (or a tampered record) reads as a miss.
 func (c *Cache) GetRaw(key string) ([]byte, bool) {
-	if !validKey(key) {
+	raw, ok := validKey(key)
+	if !ok {
 		return nil, false
 	}
-	var raw [32]byte
-	hex.Decode(raw[:], []byte(key)) // validKey admitted only hex digits
 	data, ok := c.log.get(&raw)
 	if !ok {
 		return nil, false
 	}
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, false
-	}
-	if e.SourceHash != c.sourceHash || c.rawKey(e.Name, e.ConfigHash) != raw {
+	if e, ok := decodeEntry(data); !ok || !c.verifies(&e, &raw) {
 		return nil, false
 	}
 	return data, true
@@ -207,18 +204,22 @@ func (c *Cache) GetRaw(key string) ([]byte, bool) {
 // poison this cache with an entry for a different job, a different
 // configuration, or a different source tree.
 func (c *Cache) PutRaw(key string, data []byte) (Artifact, bool) {
-	if !validKey(key) {
+	raw, ok := validKey(key)
+	if !ok {
 		return Artifact{}, false
 	}
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil {
+	return c.putRaw(&raw, data)
+}
+
+// putRaw is PutRaw under the decoded key. A verified entry is stored
+// as it arrived: decoding accepts only the bytes appendEntry writes.
+func (c *Cache) putRaw(raw *[32]byte, data []byte) (Artifact, bool) {
+	e, ok := decodeEntry(data)
+	if !ok || !c.verifies(&e, raw) {
 		return Artifact{}, false
 	}
-	if e.SourceHash != c.sourceHash || c.KeyFor(e.Name, e.ConfigHash) != key {
-		return Artifact{}, false
-	}
-	c.Put(Job{Name: e.Name, ConfigHash: e.ConfigHash}, e.Artifact)
-	return e.Artifact, true
+	c.log.put(raw, data)
+	return e.artifact(string(e.name)), true
 }
 
 // Put stores a job's artifact as one record appended to this cache's
@@ -226,34 +227,36 @@ func (c *Cache) PutRaw(key string, data []byte) (Artifact, bool) {
 // segment can be created degrades to an always-miss cache, never to a
 // failed regeneration.
 func (c *Cache) Put(j Job, art Artifact) {
-	e := cacheEntry{Name: j.Name, ConfigHash: j.ConfigHash, SourceHash: c.sourceHash, Artifact: art}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
 	key := c.rawKey(j.Name, j.ConfigHash)
-	c.log.put(&key, data)
+	c.put(&key, j, art)
+}
+
+// put is Put under the job's precomputed key.
+func (c *Cache) put(key *[32]byte, j Job, art Artifact) {
+	data := make([]byte, 0, entrySize(j.Name, j.ConfigHash, c.sourceHash, art))
+	c.log.put(key, appendEntry(data, j.Name, j.ConfigHash, c.sourceHash, art))
 }
 
 // Do runs a job through the cache with single-flight semantics: a hit
 // returns the stored artifact; on a miss, exactly one of any set of
 // concurrent same-key callers executes run while the rest wait and
 // share its artifact. Successful executions are stored; errors are
-// shared with the waiting callers and never cached.
+// shared with the waiting callers and never cached. The job's key is
+// derived once, for the flight, the lookup, the fetch and the store.
 func (c *Cache) Do(j Job, run func() (Artifact, error)) (art Artifact, cached, shared bool, err error) {
-	key := c.KeyFor(j.Name, j.ConfigHash)
-	r, shared, err := c.flight.Do(key, func() (doResult, error) {
+	raw := c.rawKey(j.Name, j.ConfigHash)
+	r, shared, err := c.flight.Do(string(raw[:]), func() (doResult, error) {
 		// Recheck under the flight: a caller that queued behind a
 		// completed leader finds the entry the leader just stored.
-		if art, ok := c.Get(j); ok {
+		if art, ok := c.get(&raw, j); ok {
 			return doResult{art: art, cached: true}, nil
 		}
 		// Local miss: ask the fleet before computing. A validated peer
 		// entry is stored locally and counts as a cache hit — it was
 		// produced by the same sources from the same configuration.
 		if fp := c.fetcher.Load(); fp != nil {
-			if data, ok := (*fp)(key); ok {
-				if art, ok := c.PutRaw(key, data); ok {
+			if data, ok := (*fp)(hex.EncodeToString(raw[:])); ok {
+				if art, ok := c.putRaw(&raw, data); ok {
 					return doResult{art: art, cached: true}, nil
 				}
 			}
@@ -262,7 +265,7 @@ func (c *Cache) Do(j Job, run func() (Artifact, error)) (art Artifact, cached, s
 		if err != nil {
 			return doResult{}, err
 		}
-		c.Put(j, art)
+		c.put(&raw, j, art)
 		return doResult{art: art}, nil
 	})
 	if err != nil {

@@ -27,7 +27,7 @@ func TestKeyForStableAcrossCaches(t *testing.T) {
 	if a.KeyFor("simulate", "cfg1") == a.KeyFor("simulate", "cfg2") {
 		t.Fatal("different configs produced the same key")
 	}
-	if !validKey(a.KeyFor("x", "y")) {
+	if _, ok := validKey(a.KeyFor("x", "y")); !ok {
 		t.Fatal("KeyFor produced an invalid raw key")
 	}
 }

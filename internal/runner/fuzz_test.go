@@ -71,3 +71,49 @@ func FuzzCacheSegment(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCacheEntry feeds arbitrary bytes to the entry decoder that every
+// Get, GetRaw and PutRaw runs. The decoder must never panic and never
+// allocate: every field it returns is a view of the input, so no length
+// it reads can size an allocation. Copying the artifact out stays
+// within twice the input's size (plus slack for what other goroutines
+// allocate meanwhile, as in FuzzCacheSegment), and the decoder accepts
+// only bodies that re-encode to the same bytes, so PutRaw may store a
+// verified peer entry as it arrived.
+func FuzzCacheEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e, ok := decodeEntry(data)
+		var art Artifact
+		if ok {
+			art = e.artifact("")
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(2*len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if !ok {
+			return
+		}
+		for _, field := range [][]byte{e.name, e.configHash, e.sourceHash, e.artName, e.output} {
+			if len(field) > 0 && !viewOf(field, data) {
+				t.Fatalf("decoded field %q is not a view of the input", field)
+			}
+		}
+		again := appendEntry(nil, string(e.name), string(e.configHash), string(e.sourceHash), art)
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted entry re-encodes to other bytes:\n%q\nwant\n%q", again, data)
+		}
+	})
+}
+
+// viewOf reports whether the non-empty b lies within data's bytes.
+func viewOf(b, data []byte) bool {
+	for i := range data {
+		if &data[i] == &b[0] {
+			return len(b) <= len(data)-i
+		}
+	}
+	return false
+}

@@ -24,7 +24,8 @@ import (
 // processes — ever share a file, and one stored result costs one
 // write(2).
 //
-// A record is a header and the entry's JSON body:
+// A record is a header and a body, the binary entry of entry.go (its
+// fields, then the artifact output verbatim):
 //
 //	magic "RCL1" | key (32 raw bytes) | body length (uint32 LE) |
 //	CRC-32C of key, length and body (uint32 LE) | body

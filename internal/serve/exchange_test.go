@@ -156,18 +156,15 @@ func TestArtifactEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("artifact by key: %d %s", code, body)
 	}
-	if ct := hdr.Get("Content-Type"); ct != "application/json" {
+	if ct := hdr.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("artifact content type %q", ct)
 	}
-	var entry struct {
-		Name       string `json:"name"`
-		ConfigHash string `json:"config_hash"`
+	job, _, ok := runner.DecodeEntry(body)
+	if !ok {
+		t.Fatalf("artifact body is not an entry: %q", body)
 	}
-	if err := json.Unmarshal(body, &entry); err != nil {
-		t.Fatal(err)
-	}
-	if entry.Name != "simulate" {
-		t.Fatalf("entry name %q", entry.Name)
+	if job.Name != "simulate" || job.ConfigHash != "simulate|"+cfg.Hash() {
+		t.Fatalf("entry stored for job %q, config hash %q", job.Name, job.ConfigHash)
 	}
 
 	if code, _, _ := getHeader(t, ts.URL+"/v1/artifact/zz"); code != http.StatusBadRequest {

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -29,10 +30,12 @@ type jobRec struct {
 
 	born time.Time
 
-	mu      sync.Mutex
-	events  []JobEvent
-	done    bool
-	changed chan struct{} // closed and replaced on every append
+	mu     sync.Mutex
+	events []JobEvent
+	done   bool
+	// changed is closed on the next append; snapshot makes it when a
+	// watcher first waits, so a record nobody watches makes none.
+	changed chan struct{}
 }
 
 // emit appends one event and wakes the watchers.
@@ -42,12 +45,19 @@ func (j *jobRec) emit(t, msg string) {
 	if j.done {
 		return
 	}
+	j.record(t, msg)
+}
+
+// record appends one event and wakes the watchers. j.mu is held.
+func (j *jobRec) record(t, msg string) {
 	j.events = append(j.events, JobEvent{
 		Seq: len(j.events), T: t, Msg: msg,
 		MS: time.Since(j.born).Milliseconds(),
 	})
-	close(j.changed)
-	j.changed = make(chan struct{})
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
 }
 
 // emitf is emit with formatting.
@@ -62,13 +72,8 @@ func (j *jobRec) finish(t, msg string) {
 	if j.done {
 		return
 	}
-	j.events = append(j.events, JobEvent{
-		Seq: len(j.events), T: t, Msg: msg,
-		MS: time.Since(j.born).Milliseconds(),
-	})
+	j.record(t, msg)
 	j.done = true
-	close(j.changed)
-	j.changed = make(chan struct{})
 }
 
 // snapshot returns the events from seq `from` on, whether the job is
@@ -80,6 +85,9 @@ func (j *jobRec) snapshot(from int) ([]JobEvent, bool, <-chan struct{}) {
 	var evs []JobEvent
 	if from < len(j.events) {
 		evs = j.events[from:]
+	}
+	if j.changed == nil {
+		j.changed = make(chan struct{})
 	}
 	return evs, j.done, j.changed
 }
@@ -95,8 +103,11 @@ type jobStore struct {
 	prefix string
 	seq    int64
 	byID   map[string]*jobRec
-	order  []string // creation order, for eviction
-	cap    int
+	// order[head:] holds the stored records in creation order, for
+	// eviction; the slots below head are free.
+	order []*jobRec
+	head  int
+	cap   int
 }
 
 func newJobStore(capacity int) *jobStore {
@@ -107,40 +118,58 @@ func newJobStore(capacity int) *jobStore {
 	}
 }
 
-// create registers a new record.
+// create registers a new record, then evicts the oldest finished
+// records beyond capacity. Live records are never evicted (a watcher
+// may still be attached), so the store exceeds its cap only while
+// every record older than the new one is live.
 func (s *jobStore) create(kind string) *jobRec {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
+	var buf [32]byte
+	id := append(buf[:0], s.prefix...)
+	for n := s.seq; n < 100000; n *= 10 {
+		id = append(id, '0') // the counter is zero-padded to six digits
+	}
 	j := &jobRec{
-		ID:      fmt.Sprintf("%s%06d", s.prefix, s.seq),
-		Kind:    kind,
-		born:    time.Now(),
-		changed: make(chan struct{}),
+		ID:     string(strconv.AppendInt(id, s.seq, 10)),
+		Kind:   kind,
+		born:   time.Now(),
+		events: make([]JobEvent, 0, 4), // queued, started, a progress line, done
 	}
 	s.byID[j.ID] = j
-	s.order = append(s.order, j.ID)
-	// Evict oldest finished records beyond capacity; live records are
-	// never evicted (a watcher may still be attached).
-	for len(s.order) > s.cap {
-		evicted := false
-		for i, id := range s.order {
-			old := s.byID[id]
-			old.mu.Lock()
-			done := old.done
-			old.mu.Unlock()
-			if done {
-				delete(s.byID, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything live: let the store exceed cap briefly
-		}
+	s.order = append(s.order, j)
+	for len(s.order)-s.head > s.cap && s.evictOldestFinished() {
 	}
 	return j
+}
+
+// evictOldestFinished drops the oldest finished record, reporting
+// whether there was one. The live records older than it keep their
+// order, shifted up into its slot, so an eviction costs one step per
+// such record: O(1) while the oldest record is finished. The free
+// slots below head are reclaimed once they are half the slice.
+func (s *jobStore) evictOldestFinished() bool {
+	recs := s.order[s.head:]
+	for i, j := range recs {
+		j.mu.Lock()
+		done := j.done
+		j.mu.Unlock()
+		if !done {
+			continue
+		}
+		delete(s.byID, j.ID)
+		copy(recs[1:i+1], recs[:i])
+		recs[0] = nil
+		s.head++
+		if s.head >= len(s.order)/2 {
+			n := copy(s.order, s.order[s.head:])
+			clear(s.order[n:])
+			s.order, s.head = s.order[:n], 0
+		}
+		return true
+	}
+	return false
 }
 
 // get looks a record up.

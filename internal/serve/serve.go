@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -279,8 +280,8 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 
 // timeoutFor resolves the request's execution deadline from ?timeout=,
 // defaulted and clamped by the server config.
-func (s *Server) timeoutFor(r *http.Request) (time.Duration, error) {
-	raw := r.URL.Query().Get("timeout")
+func (s *Server) timeoutFor(q url.Values) (time.Duration, error) {
+	raw := q.Get("timeout")
 	if raw == "" {
 		return s.cfg.DefaultTimeout, nil
 	}
@@ -426,18 +427,20 @@ type execMeta struct {
 // respond is the shared synchronous/asynchronous tail of the three
 // work endpoints: ?async=1 detaches the execution from the connection
 // (202 + job id for streaming), otherwise the handler waits and
-// renders.
+// writes the reply. run returns the artifact whose Output holds the
+// endpoint's result fields, already JSON-encoded (see encodeFields):
+// a cache hit copies them from the stored entry into the reply.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, kind, key string,
-	run func(ctx context.Context, jb *jobRec) (runner.Artifact, error),
-	render func(art runner.Artifact, meta execMeta) any) {
+	run func(ctx context.Context, jb *jobRec) (runner.Artifact, error)) {
 
-	d, err := s.timeoutFor(r)
+	q := r.URL.Query()
+	d, err := s.timeoutFor(q)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
 		return
 	}
 	jb := s.jobs.create(kind)
-	if r.URL.Query().Get("async") == "1" {
+	if q.Get("async") == "1" {
 		ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), d)
 		s.inflight.Add(1)
 		go func() {
@@ -455,27 +458,59 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, kind, key strin
 		s.writeError(w, err)
 		return
 	}
-	w.Header().Set("X-Cache", meta.xcache())
-	s.writeJSON(w, http.StatusOK, render(art, meta), false)
+	h := w.Header()
+	h.Set("X-Cache", meta.xcache())
+	h.Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// 64 bytes hold the envelope's other fields.
+	_, _ = w.Write(appendReply(make([]byte, 0, len(meta.jobID)+len(art.Output)+64), art, meta))
+}
+
+// appendReply appends a work endpoint's 200 reply to dst:
+//
+//	{"job":…,"pass":…[,"cached":true][,"coalesced":true],<fields>}
+//
+// where <fields> is the artifact's Output, copied verbatim. The job id
+// stays the first field, and it needs no escaping: jobStore builds ids
+// from a hex prefix and a decimal counter.
+func appendReply(dst []byte, art runner.Artifact, meta execMeta) []byte {
+	dst = append(dst, `{"job":"`...)
+	dst = append(dst, meta.jobID...)
+	dst = append(dst, `","pass":`...)
+	dst = strconv.AppendBool(dst, art.Pass)
+	if meta.cached {
+		dst = append(dst, `,"cached":true`...)
+	}
+	if meta.coalesced {
+		dst = append(dst, `,"coalesced":true`...)
+	}
+	dst = append(dst, ',')
+	dst = append(dst, art.Output...)
+	return append(dst, "}\n"...)
+}
+
+// encodeFields renders v, a struct of an endpoint's result fields, as
+// the members of a JSON object without its braces: the Output a work
+// endpoint's run stores, encoded once, whether the reply is the miss
+// that computed it or any later hit.
+func encodeFields(v any) (string, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return "", err
+	}
+	return string(b[1 : len(b)-1]), nil
 }
 
 // --- /v1/simulate ---
 
-// simPayload is the cached artifact body for a simulation: the
-// rendered report (byte-identical to cmd/cachesim's output for the
-// same configuration) plus the finishing cycle count.
-type simPayload struct {
-	Output string `json:"output"`
-	Cycles int64  `json:"cycles"`
-}
-
-// SimulateResponse is the /v1/simulate response body.
+// SimulateResponse is the /v1/simulate response body, its fields in
+// the order the reply carries them.
 type SimulateResponse struct {
 	Job       string `json:"job"`
 	Pass      bool   `json:"pass"`
-	Cycles    int64  `json:"cycles"`
 	Cached    bool   `json:"cached,omitempty"`
 	Coalesced bool   `json:"coalesced,omitempty"`
+	Cycles    int64  `json:"cycles"`
 	// Output is byte-identical to cmd/cachesim's stdout for the same
 	// configuration (asserted by TestSimulateMatchesCLI).
 	Output string `json:"output"`
@@ -512,20 +547,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return runner.Artifact{}, err
 		}
-		body, err := json.Marshal(simPayload{Output: res.Output, Cycles: res.Cycles})
-		if err != nil {
-			return runner.Artifact{}, err
-		}
-		return runner.Artifact{Output: string(body), Pass: res.Pass}, nil
+		fields, err := encodeFields(struct {
+			Cycles int64  `json:"cycles"`
+			Output string `json:"output"`
+		}{res.Cycles, res.Output})
+		return runner.Artifact{Output: fields, Pass: res.Pass}, err
 	}
-	s.respond(w, r, "simulate", key, run, func(art runner.Artifact, meta execMeta) any {
-		var p simPayload
-		_ = json.Unmarshal([]byte(art.Output), &p)
-		return SimulateResponse{
-			Job: meta.jobID, Pass: art.Pass, Cycles: p.Cycles,
-			Cached: meta.cached, Coalesced: meta.coalesced, Output: p.Output,
-		}
-	})
+	s.respond(w, r, "simulate", key, run)
 }
 
 // --- /v1/check ---
@@ -665,19 +693,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return runner.Artifact{}, err
 		}
-		body, err := json.Marshal(res)
-		if err != nil {
-			return runner.Artifact{}, err
-		}
-		return runner.Artifact{Output: string(body), Pass: res.Counterexample == nil}, nil
+		fields, err := encodeFields(struct {
+			Result *mcheck.Result `json:"result"`
+		}{res})
+		return runner.Artifact{Output: fields, Pass: res.Counterexample == nil}, err
 	}
-	s.respond(w, r, "check", cr.Hash(), run, func(art runner.Artifact, meta execMeta) any {
-		return CheckResponse{
-			Job: meta.jobID, Pass: art.Pass,
-			Cached: meta.cached, Coalesced: meta.coalesced,
-			Result: json.RawMessage(art.Output),
-		}
-	})
+	s.respond(w, r, "check", cr.Hash(), run)
 }
 
 // --- /v1/sweep ---
@@ -803,20 +824,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return runner.Artifact{}, err
 		}
-		body, err := json.Marshal(points)
-		if err != nil {
-			return runner.Artifact{}, err
-		}
-		return runner.Artifact{Output: string(body), Pass: pass}, nil
+		fields, err := encodeFields(struct {
+			Points []SweepPoint `json:"points"`
+		}{points})
+		return runner.Artifact{Output: fields, Pass: pass}, err
 	}
-	s.respond(w, r, "sweep", SweepKey(cfgs), run, func(art runner.Artifact, meta execMeta) any {
-		var points []SweepPoint
-		_ = json.Unmarshal([]byte(art.Output), &points)
-		return SweepResponse{
-			Job: meta.jobID, Pass: art.Pass,
-			Cached: meta.cached, Coalesced: meta.coalesced, Points: points,
-		}
-	})
+	s.respond(w, r, "sweep", SweepKey(cfgs), run)
 }
 
 // --- /v1/jobs/{id} ---
@@ -860,7 +873,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // --- /v1/artifact/{key} ---
 
 // handleArtifact serves one raw result-cache entry by content-addressed
-// key — the fleet artifact exchange's read side. It is a pure disk
+// key — the fleet artifact exchange's read side — as the binary entry
+// the runner stores (application/octet-stream). It is a pure disk
 // lookup: no admission slot, no computation, no recursion into the
 // peer fetcher (a replica that does not hold the entry answers 404,
 // never "let me go ask around"). Entries are only served when they
@@ -884,7 +898,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.artifactHits.Add(1)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
 }

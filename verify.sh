@@ -26,8 +26,9 @@
 # transition tables, the workload digests, the lock-trace report and
 # DEEP_mcheck.json; a missing file fails); the fuzz targets in
 # seed-corpus mode (trace codecs, workload replay, run files, shard
-# absorb, the runner cache's segment scan (FuzzCacheSegment), and the
-# simulate, sweep, check and shard-open request decoders); the differential sim<->mcheck harness; the incremental
+# absorb, the runner cache's segment scan and entry decoder
+# (FuzzCacheSegment, FuzzCacheEntry), and the simulate, sweep, check
+# and shard-open request decoders); the differential sim<->mcheck harness; the incremental
 # online checker against the full invariant sweep; the checker's
 # incremental transitions (its journal-scoped re-check against its
 # full-universe check, the journal covering every change of the state
@@ -45,8 +46,9 @@
 # error text, rejected Complete cells keep their panic text, and a
 # compile of every protocol stays within its allocation budget); the
 # workload digest golden and the blocking-adapter differential; the
-# steady-state allocation gates of the engine (0 allocs/op) and of the
-# checker (0 allocs per explored transition); and the baseline-counts
+# steady-state allocation gates of the engine (0 allocs/op), of the
+# checker (0 allocs per explored transition) and of a daemon cache hit
+# (TestHitAllocs); and the baseline-counts
 # golden (every cycle, broadcast, state, transition and spill count in
 # BENCH_sim.json, BENCH_aquarius.json and BENCH_mcheck.json, exact on
 # any host).
