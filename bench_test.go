@@ -94,7 +94,7 @@ func BenchmarkFigure11(b *testing.B) {
 			p := p
 			ws[p] = func(pr *sim.Proc) {
 				for k := 0; k < 20; k++ {
-					a.InstrFetch(pr, l.G.Base(l.PrivateBlock(p, k%8)))
+					pr.InstrFetch(l.G.Base(l.PrivateBlock(p, k%8)))
 					lock := l.LockAddr(2 + (p+1)%procs)
 					syncprim.Acquire(pr, syncprim.CacheLock, lock)
 					pr.Write(l.G.Base(l.SharedBlock(1+(p+1)%procs)), uint64(k))

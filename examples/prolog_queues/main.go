@@ -13,6 +13,7 @@ import (
 
 	"cachesync/internal/addr"
 	"cachesync/internal/aquarius"
+	"cachesync/internal/interconnect"
 	"cachesync/internal/sim"
 	"cachesync/internal/syncprim"
 	"cachesync/internal/workload"
@@ -39,10 +40,10 @@ func main() {
 				// "Run" the interpreter: instruction fetches through
 				// the crossbar tier.
 				for pc := 0; pc < 6; pc++ {
-					a.InstrFetch(p, addr.Addr(4096+i*64+pc))
+					p.InstrFetch(addr.Addr(4096 + i*64 + pc))
 				}
 				// Bind a variable in non-synchronization data space.
-				a.DataWrite(p, addr.Addr(8192+i*requests+r), uint64(r))
+				p.WriteClass(addr.Addr(8192+i*requests+r), uint64(r), interconnect.Data)
 
 				// Post a service request to another processor's queue
 				// (e.g. the floating-point processor of Section B.1).

@@ -11,11 +11,12 @@
 // internal/interconnect cost models: a contention-costed crossbar,
 // optionally placed a network hop away behind a RemoteLink (the
 // Soul/GCS disaggregated-memory configuration, PAPERS.md
-// arXiv:2301.02576). With Routed set, the machine attaches itself as
-// the sim engine's lower tier and classified references (sync vs
-// instruction vs plain data) route automatically; the explicit
-// DataRead/DataWrite/InstrFetch methods remain for workloads that
-// drive the split by hand.
+// arXiv:2301.02576). The machine always attaches itself as the sim
+// engine's lower tier: a processor's instruction fetches
+// (sim.Proc.InstrFetch) and Data-class references (ReadClass and
+// WriteClass with interconnect.Data) go to the lower tier, and the
+// rest stay on the synchronization bus. With Routed set, an
+// unclassified reference is rejected instead.
 //
 // Lower-tier values are applied in the engine's deterministic event
 // order at issue time — the "latest version of each block" delivery
@@ -49,10 +50,10 @@ type Config struct {
 	// RemoteOccupancy is the per-message channel occupancy of the
 	// remote link (per direction); used only with RemoteCycles > 0.
 	RemoteOccupancy int
-	// Routed attaches the machine as the sim engine's lower tier, so
-	// Instr/Data-class references route there automatically and
-	// unclassified references are rejected. Leave false to drive the
-	// split by hand through DataRead/DataWrite/InstrFetch.
+	// Routed makes classification mandatory: unclassified references
+	// are rejected instead of staying on the synchronization bus, so
+	// every reference of a routed workload goes where its class says.
+	// Instr/Data-class references reach the lower tier either way.
 	Routed bool
 }
 
@@ -159,9 +160,8 @@ func New(cfg Config) *System {
 
 // Run executes blocking workloads on the synchronization tier's
 // processors, through the engine's blocking adapter (sim.System.Run).
-// With Routed, classified references route to the lower tier
-// automatically; otherwise lower-tier accesses are issued through
-// DataRead, DataWrite, and InstrFetch.
+// Instr/Data-class references (sim.Proc.InstrFetch, ReadClass,
+// WriteClass) go to the lower tier.
 func (s *System) Run(ws []func(*sim.Proc)) error { return s.Sync.Run(ws) }
 
 // RunPrograms executes one Program per processor.
@@ -202,25 +202,6 @@ func bump(c *stats.Counters, h **int64, name string) {
 		*h = c.Handle(name)
 	}
 	**h++
-}
-
-// DataRead reads non-synchronization data through the crossbar:
-// always the latest version, straight from the bank. It issues an
-// engine-routed Data-class read, so the fabric bookkeeping happens in
-// deterministic event order even from blocking workload goroutines.
-func (s *System) DataRead(p *sim.Proc, a addr.Addr) uint64 {
-	return p.ReadClass(a, interconnect.Data)
-}
-
-// DataWrite writes non-synchronization data through the crossbar.
-func (s *System) DataWrite(p *sim.Proc, a addr.Addr, v uint64) {
-	p.WriteClass(a, v, interconnect.Data)
-}
-
-// InstrFetch fetches an instruction word: the read-only stream hits a
-// small per-processor buffer; misses go through the crossbar.
-func (s *System) InstrFetch(p *sim.Proc, a addr.Addr) {
-	p.InstrFetch(a)
 }
 
 // BankLoads reports per-bank access counts (to observe interleaving).

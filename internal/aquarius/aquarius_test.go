@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cachesync/internal/addr"
+	"cachesync/internal/interconnect"
 	"cachesync/internal/sim"
 	"cachesync/internal/syncprim"
 	"cachesync/internal/workload"
@@ -14,12 +15,12 @@ func TestTwoTierBasic(t *testing.T) {
 	var got uint64
 	err := a.Run([]func(*sim.Proc){
 		func(p *sim.Proc) {
-			a.DataWrite(p, 100, 77)
+			p.WriteClass(100, 77, interconnect.Data)
 			p.Write(0, 1) // sync-tier traffic
 		},
 		func(p *sim.Proc) {
 			p.Compute(200)
-			got = a.DataRead(p, 100)
+			got = p.ReadClass(100, interconnect.Data)
 		},
 	})
 	if err != nil {
@@ -38,12 +39,12 @@ func TestBankContention(t *testing.T) {
 	err := a.Run([]func(*sim.Proc){
 		func(p *sim.Proc) {
 			for k := 0; k < 10; k++ {
-				a.DataWrite(p, 8, uint64(k)) // same bank every time
+				p.WriteClass(8, uint64(k), interconnect.Data) // same bank every time
 			}
 		},
 		func(p *sim.Proc) {
 			for k := 0; k < 10; k++ {
-				a.DataRead(p, 16) // also bank 0 (16 % 8 == 0)
+				p.ReadClass(16, interconnect.Data) // also bank 0 (16 % 8 == 0)
 			}
 		},
 	})
@@ -59,7 +60,7 @@ func TestBankInterleaving(t *testing.T) {
 	a := New(DefaultConfig(1))
 	err := a.Run([]func(*sim.Proc){func(p *sim.Proc) {
 		for k := 0; k < 64; k++ {
-			a.DataRead(p, addr.Addr(k))
+			p.ReadClass(addr.Addr(k), interconnect.Data)
 		}
 	}})
 	if err != nil {
@@ -78,7 +79,7 @@ func TestInstructionBuffer(t *testing.T) {
 	err := a.Run([]func(*sim.Proc){func(p *sim.Proc) {
 		for k := 0; k < 5; k++ {
 			for pc := 0; pc < 8; pc++ {
-				a.InstrFetch(p, addr.Addr(1000+pc)) // tight loop
+				p.InstrFetch(addr.Addr(1000 + pc)) // tight loop
 			}
 		}
 	}})
@@ -107,8 +108,8 @@ func TestHardAtomsOnSyncTier(t *testing.T) {
 		ws[i] = func(p *sim.Proc) {
 			for k := 0; k < iters; k++ {
 				syncprim.Acquire(p, syncprim.CacheLock, lock)
-				v := a.DataRead(p, 500) // shared counter in the lower tier
-				a.DataWrite(p, 500, v+1)
+				v := p.ReadClass(500, interconnect.Data) // shared counter in the lower tier
+				p.WriteClass(500, v+1, interconnect.Data)
 				syncprim.Release(p, syncprim.CacheLock, lock)
 				p.Compute(int64(5 + i))
 			}
@@ -138,7 +139,7 @@ func TestBankSweepContention(t *testing.T) {
 			i := i
 			ws[i] = func(p *sim.Proc) {
 				for k := 0; k < 40; k++ {
-					a.DataRead(p, addr.Addr(i*40+k))
+					p.ReadClass(addr.Addr(i*40+k), interconnect.Data)
 				}
 			}
 		}

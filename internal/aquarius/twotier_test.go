@@ -19,7 +19,7 @@ func TestIbufFIFOEviction(t *testing.T) {
 	err := a.Run([]func(*sim.Proc){func(p *sim.Proc) {
 		for k := 0; k < 3; k++ {
 			for pc := 0; pc < 5; pc++ {
-				a.InstrFetch(p, addr.Addr(1000+pc))
+				p.InstrFetch(addr.Addr(1000 + pc))
 			}
 		}
 	}})
@@ -49,7 +49,7 @@ func TestIbufEvictionDeterministic(t *testing.T) {
 				// A strided stream over 3x the buffer size: constant
 				// eviction, and hits depend entirely on eviction order.
 				for k := 0; k < 200; k++ {
-					a.InstrFetch(p, addr.Addr(2000+i*64+(k*7)%24))
+					p.InstrFetch(addr.Addr(2000 + i*64 + (k*7)%24))
 				}
 			}
 		}

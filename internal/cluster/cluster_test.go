@@ -58,8 +58,14 @@ func newAttachCluster(t *testing.T, addrs ...string) (*Cluster, *httptest.Server
 
 func postSim(t *testing.T, url string, cfg simrun.Config) (int, http.Header, []byte) {
 	t.Helper()
-	body, _ := json.Marshal(cfg)
-	resp, err := http.Post(url+"/v1/simulate", "application/json", bytes.NewReader(body))
+	return postBody(t, url+"/v1/simulate", cfg)
+}
+
+// postBody posts v as JSON and returns the status, headers and body.
+func postBody(t *testing.T, url string, v any) (int, http.Header, []byte) {
+	t.Helper()
+	body, _ := json.Marshal(v)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +83,7 @@ func configOwnedBy(t *testing.T, c *Cluster, name string) simrun.Config {
 	t.Helper()
 	for seed := int64(1); seed < 500; seed++ {
 		cfg := simrun.Config{Protocol: "bitar", Ops: 120, Seed: seed}.Normalize()
-		if c.ring.pick("simulate|" + cfg.Hash())[0] == name {
+		if c.ring.pick(serve.SimulateKey(cfg))[0] == name {
 			return cfg
 		}
 	}
@@ -87,28 +93,45 @@ func configOwnedBy(t *testing.T, c *Cluster, name string) simrun.Config {
 
 // TestClusterAffinity: identical requests land on the ring owner every
 // time (X-Replica constant), so dedup and caching concentrate; the
-// second request is a cache hit.
+// second request is a cache hit. A check's owner is the owner of
+// CheckRequest.Hash, the key the replica caches it under: the check
+// here is owned by another replica under a key with "check|" written
+// twice, so a router that prefixes the kind again sends it elsewhere.
 func TestClusterAffinity(t *testing.T) {
 	b0, b1 := newBackend(t), newBackend(t)
 	c, ts := newAttachCluster(t, b0.addr, b1.addr)
 
-	for _, owner := range []string{"a0", "a1"} {
-		cfg := configOwnedBy(t, c, owner)
+	affine := func(what, path string, body any, owner string) {
+		t.Helper()
 		var replicas []string
 		for i := 0; i < 3; i++ {
-			code, hdr, body := postSim(t, ts.URL, cfg)
+			code, hdr, reply := postBody(t, ts.URL+path, body)
 			if code != http.StatusOK {
-				t.Fatalf("simulate via router: %d %s", code, body)
+				t.Fatalf("%s via router: %d %s", what, code, reply)
 			}
 			replicas = append(replicas, hdr.Get("X-Replica"))
 			if i > 0 && hdr.Get("X-Cache") != "hit" {
-				t.Fatalf("repeat %d: X-Cache=%q, want hit", i, hdr.Get("X-Cache"))
+				t.Fatalf("%s repeat %d: X-Cache=%q, want hit", what, i, hdr.Get("X-Cache"))
 			}
 		}
 		for _, r := range replicas {
 			if r != owner {
-				t.Fatalf("affinity broken: owner %s, routed to %v", owner, replicas)
+				t.Fatalf("%s affinity broken: owner %s, routed to %v", what, owner, replicas)
 			}
+		}
+	}
+	for _, owner := range []string{"a0", "a1"} {
+		affine("simulate", "/v1/simulate", configOwnedBy(t, c, owner), owner)
+	}
+	for depth := 1; ; depth++ {
+		cr := serve.CheckRequest{Protocol: "illinois", Depth: depth}.Normalize()
+		owner := c.ring.pick(cr.Hash())[0]
+		if owner != c.ring.pick("check|" + cr.Hash())[0] {
+			affine("check", "/v1/check", cr, owner)
+			break
+		}
+		if depth == 12 {
+			t.Fatal("no check depth in [1,12] whose owner moves under a doubled prefix")
 		}
 	}
 }
@@ -378,7 +401,7 @@ func TestClusterJobBroadcast(t *testing.T) {
 	// job, as a0's cached repeat was a0's.
 	cfg := configOwnedBy(t, c, "a1")
 	cfg.Seed += 1000
-	for c.ring.pick("simulate|" + cfg.Hash())[0] != "a1" {
+	for c.ring.pick(serve.SimulateKey(cfg))[0] != "a1" {
 		cfg.Seed++
 	}
 	job, accepted := acceptAsync(t, ts.URL, "/v1/simulate", cfg)

@@ -68,7 +68,7 @@ func (c *Cluster) Handler() http.Handler {
 		key := ""
 		var cfg simrun.Config
 		if err := json.Unmarshal(body, &cfg); err == nil {
-			key = "simulate|" + cfg.Normalize().Hash()
+			key = serve.SimulateKey(cfg)
 		}
 		c.proxy(w, r, key, body)
 	})
@@ -93,7 +93,7 @@ func (c *Cluster) Handler() http.Handler {
 				// proxying to a replica's strict decoder.
 				body, _ = json.Marshal(req.CheckRequest)
 			}
-			key = "check|" + req.CheckRequest.Normalize().Hash()
+			key = req.CheckRequest.Normalize().Hash()
 		}
 		c.proxy(w, r, key, body)
 	})

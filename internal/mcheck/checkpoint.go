@@ -71,9 +71,9 @@ type ckptManifest struct {
 // session. Workers is deliberately absent: resuming with a different
 // worker count is legal and byte-identical.
 func optionsHash(o Options, porBlock, self, total int) string {
-	s := fmt.Sprintf("v%d|%s|p%d b%d w%d d%d|sym=%t tables=%t|por=%d|max=%d|budget=%d|sess=%d/%d",
+	s := fmt.Sprintf("v%d|%s|p%d b%d w%d d%d|sym=%t|por=%d|max=%d|budget=%d|sess=%d/%d",
 		ckptVersion, o.Protocol.Name(), o.Procs, o.Blocks, o.Words, o.Depth,
-		o.Symmetry, !o.NoTables, porBlock, o.MaxStates, o.MemBudget, self, total)
+		o.Symmetry, porBlock, o.MaxStates, o.MemBudget, self, total)
 	return fmt.Sprintf("%016x", fnv1a(0, []byte(s)))
 }
 

@@ -21,10 +21,9 @@ type machine struct {
 	opts  Options
 	proto protocol.Protocol
 	// tab is the compiled transition table of proto (nil for mutant
-	// wrappers and under Options.NoTables): the atomic-step executor
-	// makes the same protocol decisions through the same tables the
-	// simulator uses, keeping exploration off the interface-dispatch
-	// path.
+	// wrappers): the atomic-step executor makes the same protocol
+	// decisions through the same tables the simulator uses, keeping
+	// exploration off the interface-dispatch path.
 	tab    *protocol.Table
 	feats  protocol.Features
 	geom   addr.Geometry
@@ -112,8 +111,7 @@ type stepResult struct {
 }
 
 // complete, privilege, evictOf, and isDirty consult the compiled
-// table when present, falling back to the protocol methods (mutants,
-// NoTables).
+// table when present, falling back to the protocol methods (mutants).
 func (m *machine) complete(st protocol.State, op protocol.Op, t *bus.Transaction) protocol.CompleteResult {
 	if m.tab != nil {
 		return m.tab.Complete(st, op, t)
@@ -149,20 +147,18 @@ func newMachine(opts Options) *machine {
 	m := &machine{
 		opts:   opts,
 		proto:  opts.Protocol,
+		tab:    protocol.TableFor(opts.Protocol), // nil for mutants: they stay on methods
 		feats:  opts.Protocol.Features(),
 		geom:   geom,
 		mem:    memory.New(geom),
 		shadow: make([]uint64, opts.Blocks*opts.Words),
 		arcs:   make(map[arcKey]string),
 	}
-	if !opts.NoTables {
-		m.tab = protocol.TableFor(opts.Protocol) // nil for mutants: they stay on methods
-	}
 	// The checker never reads simulation counters; disabling them takes
 	// the per-probe/per-snoop counting off the exploration hot path.
 	m.mem.Counts.Disable()
 	for i := 0; i < opts.Procs; i++ {
-		c := cache.New(i, geom, m.proto, cache.Config{Sets: 1, Ways: opts.Blocks, NoTables: opts.NoTables}, m.mem)
+		c := cache.New(i, geom, m.proto, cache.Config{Sets: 1, Ways: opts.Blocks}, m.mem)
 		c.Counts.Disable()
 		m.caches = append(m.caches, c)
 	}

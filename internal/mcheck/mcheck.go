@@ -68,10 +68,6 @@ type Options struct {
 	// RecordArcs collects the (state, op) → outcome arcs exercised by
 	// the acting cache, for the Figure 10 reachability cross-check.
 	RecordArcs bool
-	// NoTables keeps the executor and its caches on the protocol
-	// method path instead of the compiled transition tables (mutant
-	// wrappers fall back automatically either way).
-	NoTables bool
 	// Symmetry enables processor-symmetry reduction: states are
 	// explored up to permutation of processor indices, shrinking the
 	// reachable space by up to Procs! with identical verdicts (see

@@ -6,6 +6,7 @@ import (
 	"cachesync/internal/addr"
 	"cachesync/internal/aquarius"
 	"cachesync/internal/cache"
+	"cachesync/internal/interconnect"
 	"cachesync/internal/protocol"
 	"cachesync/internal/protocol/all"
 	"cachesync/internal/schedqueue"
@@ -644,9 +645,9 @@ func E19Aquarius() *stats.Table {
 		twoTier[i] = func(p *sim.Proc) {
 			for k := 0; k < rounds; k++ {
 				for pc := 0; pc < 4; pc++ {
-					a.InstrFetch(p, addr.Addr(4096+i*64+pc))
+					p.InstrFetch(addr.Addr(4096 + i*64 + pc))
 				}
-				a.DataWrite(p, addr.Addr(8192+i*rounds+k), uint64(k))
+				p.WriteClass(addr.Addr(8192+i*rounds+k), uint64(k), interconnect.Data)
 				lock := l.LockAddr(2 + (i+k)%procs)
 				syncprim.Acquire(p, syncprim.CacheLock, lock)
 				p.Write(l.G.Base(l.SharedBlock(1+(i+k)%procs)), uint64(k))

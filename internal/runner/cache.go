@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"cachesync/internal/flight"
 )
@@ -22,37 +21,19 @@ import (
 // Entries live in an append-only result log (see resultlog.go), each
 // stored as a binary entry (see entry.go): each Cache appends to a
 // segment file of its own and finds entries through an in-RAM keydir.
-// A Cache is safe for concurrent use. Same-key
-// writers are collapsed by Do's in-process single flight, and writers
-// in other processes sharing the directory append to segments of their
-// own, which a local miss picks up: every reader sees only whole
-// records.
+// A Cache is safe for concurrent use. Writers in other processes
+// sharing the directory append to segments of their own, which a local
+// miss picks up: every reader sees only whole records.
+//
+// Do is the lookup-or-run path of runner.Run, whose same-key callers
+// it collapses with a single flight of its own. The serving daemon
+// collapses requests in its own single-flight group and calls Get,
+// PutRaw and Put itself, so a request passes through one group.
+// GetRaw and PutRaw are the two sides of the fleet artifact exchange.
 type Cache struct {
 	sourceHash string
 	log        *resultLog
 	flight     flight.Group[doResult]
-	fetcher    atomic.Pointer[Fetcher]
-}
-
-// Fetcher consults an external source — in the cluster, the other
-// replicas' GET /v1/artifact/{key} endpoints — for a cache entry by
-// raw key, returning the entry's stored bytes. It runs on the Do miss
-// path, so it must bound its own latency; a slow fetcher delays every
-// cold request.
-type Fetcher func(key string) ([]byte, bool)
-
-// SetFetcher installs (or, with nil, removes) the external entry
-// source consulted on local misses. Entries a fetcher returns are
-// validated against the requested key and this cache's source hash
-// before being trusted, then stored locally — a warm entry anywhere in
-// a fleet of same-source processes becomes a local hit everywhere it
-// is asked for.
-func (c *Cache) SetFetcher(f Fetcher) {
-	if f == nil {
-		c.fetcher.Store(nil)
-		return
-	}
-	c.fetcher.Store(&f)
 }
 
 // doResult is what one single-flight execution shares with its
@@ -242,7 +223,7 @@ func (c *Cache) put(key *[32]byte, j Job, art Artifact) {
 // concurrent same-key callers executes run while the rest wait and
 // share its artifact. Successful executions are stored; errors are
 // shared with the waiting callers and never cached. The job's key is
-// derived once, for the flight, the lookup, the fetch and the store.
+// derived once, for the flight, the lookup and the store.
 func (c *Cache) Do(j Job, run func() (Artifact, error)) (art Artifact, cached, shared bool, err error) {
 	raw := c.rawKey(j.Name, j.ConfigHash)
 	r, shared, err := c.flight.Do(string(raw[:]), func() (doResult, error) {
@@ -250,16 +231,6 @@ func (c *Cache) Do(j Job, run func() (Artifact, error)) (art Artifact, cached, s
 		// completed leader finds the entry the leader just stored.
 		if art, ok := c.get(&raw, j); ok {
 			return doResult{art: art, cached: true}, nil
-		}
-		// Local miss: ask the fleet before computing. A validated peer
-		// entry is stored locally and counts as a cache hit — it was
-		// produced by the same sources from the same configuration.
-		if fp := c.fetcher.Load(); fp != nil {
-			if data, ok := (*fp)(hex.EncodeToString(raw[:])); ok {
-				if art, ok := c.putRaw(&raw, data); ok {
-					return doResult{art: art, cached: true}, nil
-				}
-			}
 		}
 		art, err := run()
 		if err != nil {

@@ -95,64 +95,3 @@ func TestPutRawValidates(t *testing.T) {
 		t.Fatal("PutRaw accepted garbage bytes")
 	}
 }
-
-func TestDoConsultsFetcherOnMiss(t *testing.T) {
-	a := openCacheAt(t, filepath.Join(t.TempDir(), "a"))
-	b := openCacheAt(t, filepath.Join(t.TempDir(), "b"))
-	j := Job{Name: "simulate", ConfigHash: "cfg"}
-
-	// Warm A the normal way.
-	if _, _, _, err := a.Do(j, func() (Artifact, error) {
-		return Artifact{Name: "simulate", Output: "computed-on-a", Pass: true}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	fetches := 0
-	b.SetFetcher(func(key string) ([]byte, bool) {
-		fetches++
-		return a.GetRaw(key)
-	})
-	ran := false
-	art, cached, _, err := b.Do(j, func() (Artifact, error) {
-		ran = true
-		return Artifact{Name: "simulate", Output: "computed-on-b", Pass: true}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("B computed despite a fleet-warm entry")
-	}
-	if !cached || art.Output != "computed-on-a" {
-		t.Fatalf("peer entry not served as a cache hit: cached=%v output=%q", cached, art.Output)
-	}
-	if fetches != 1 {
-		t.Fatalf("fetcher ran %d times, want 1", fetches)
-	}
-
-	// Second call is a pure local hit: the fetched entry was stored.
-	art, cached, _, err = b.Do(j, func() (Artifact, error) {
-		t.Fatal("recomputed after a peer fetch")
-		return Artifact{}, nil
-	})
-	if err != nil || !cached || art.Output != "computed-on-a" {
-		t.Fatalf("local re-read failed: cached=%v err=%v", cached, err)
-	}
-	if fetches != 1 {
-		t.Fatalf("fetcher consulted again on a local hit (%d fetches)", fetches)
-	}
-}
-
-// TestDoFetcherMissFallsThrough: a fetcher with no answer must not
-// block computation, and invalid peer bytes must be ignored.
-func TestDoFetcherMissFallsThrough(t *testing.T) {
-	c := openCacheAt(t, filepath.Join(t.TempDir(), "c"))
-	c.SetFetcher(func(key string) ([]byte, bool) { return []byte("junk"), true })
-	art, cached, _, err := c.Do(Job{Name: "simulate", ConfigHash: "x"}, func() (Artifact, error) {
-		return Artifact{Name: "simulate", Output: "fresh"}, nil
-	})
-	if err != nil || cached || art.Output != "fresh" {
-		t.Fatalf("junk peer bytes disturbed the compute path: cached=%v err=%v", cached, err)
-	}
-}

@@ -9,7 +9,13 @@
 //     internal/mcheck's parallel BFS keeps);
 //  2. caching — an on-disk result cache under .runnercache/ keyed by
 //     the job's config hash plus a source hash skips jobs whose code
-//     and configuration are unchanged.
+//     and configuration are unchanged, and concurrent same-key jobs
+//     run once (Cache.Do).
+//
+// The serving daemon (internal/serve) uses the same Cache and RunOne
+// without Run: it collapses identical requests in a single-flight
+// group of its own and looks results up, fetches them from its fleet
+// peers and stores them itself.
 //
 // What the jobs produce is pinned by the report package's golden
 // tests, which hold every artifact's full text and pass verdict.
@@ -55,10 +61,6 @@ type JobResult struct {
 	Artifact Artifact
 	// Cached reports that the artifact came from the result cache.
 	Cached bool
-	// Shared reports that the artifact came from another concurrent
-	// execution of the same cache key (single flight), not from this
-	// caller running the job itself.
-	Shared bool
 }
 
 // Result is one pool run over a job list.
@@ -117,8 +119,10 @@ type Options struct {
 }
 
 // Run executes every job on a worker pool (Ordered) and merges the
-// results in job order. The first job to fail stops the run: no job
-// starts after it, and its error is returned.
+// results in job order. With a cache each job goes through Cache.Do,
+// so concurrent same-key jobs — from several runs sharing one cache —
+// collapse to one execution. The first job to fail stops the run: no
+// job starts after it, and its error is returned.
 func Run(jobs []Job, opts Options) (*Result, error) {
 	workers := opts.Workers
 	if workers < 1 {
@@ -140,9 +144,16 @@ func Run(jobs []Job, opts Options) (*Result, error) {
 	res := &Result{Jobs: make([]JobResult, len(jobs)), Workers: workers}
 	err := Ordered(context.Background(), len(jobs), workers,
 		func(_ context.Context, i int) (JobResult, error) {
-			jr, err := RunOne(jobs[i], opts.Cache)
+			j := jobs[i]
+			var jr JobResult
+			var err error
+			if opts.Cache == nil {
+				jr.Artifact, err = RunOne(j)
+			} else {
+				jr.Artifact, jr.Cached, _, err = opts.Cache.Do(j, func() (Artifact, error) { return RunOne(j) })
+			}
 			if err != nil {
-				return jr, fmt.Errorf("runner: job %q: %w", jobs[i].Name, err)
+				return jr, fmt.Errorf("runner: job %q: %w", j.Name, err)
 			}
 			return jr, nil
 		},
@@ -225,40 +236,19 @@ func Ordered[T any](ctx context.Context, n, workers int,
 	return err
 }
 
-// RunOne executes (or recalls) a single job; a panic in the job comes
-// back as an error. With a cache the execution goes through Cache.Do,
-// so concurrent same-key jobs — from several runs sharing one cache,
-// or the serving daemon's concurrent requests — collapse to one run.
-func RunOne(j Job, c *Cache) (JobResult, error) {
-	if c == nil {
-		art, err := safeRun(j)
-		if err != nil {
-			return JobResult{}, err
-		}
-		art.Name = j.Name
-		return JobResult{Artifact: art}, nil
-	}
-	art, cached, shared, err := c.Do(j, func() (Artifact, error) {
-		art, err := safeRun(j)
-		if err == nil {
-			art.Name = j.Name
-		}
-		return art, err
-	})
-	if err != nil {
-		return JobResult{}, err
-	}
-	return JobResult{Artifact: art, Cached: cached, Shared: shared}, nil
-}
-
-// safeRun converts a job panic into an error so one bad experiment
-// cannot take down the whole regeneration (report generators panic on
-// internal failures).
-func safeRun(j Job) (art Artifact, err error) {
+// RunOne executes a single job, naming its artifact after the job. A
+// panic in the job comes back as an error (report generators panic on
+// internal failures), so one bad job cannot take down a whole
+// regeneration or the serving daemon that runs it.
+func RunOne(j Job) (art Artifact, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
+			art, err = Artifact{}, fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return j.Run()
+	art, err = j.Run()
+	if err == nil {
+		art.Name = j.Name
+	}
+	return art, err
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cachesync/internal/portfile"
@@ -242,6 +244,56 @@ func TestPeerArtifactExchange(t *testing.T) {
 	}
 	if n := sB.met.peerHits.Load(); n != 1 {
 		t.Fatalf("B peer hits grew to %d on a local hit", n)
+	}
+}
+
+// TestPeerJunkIsAMiss: a peer that answers /v1/artifact/ with bytes
+// that are no entry, here a stub replica that says "junk" to every
+// key, neither serves the request nor counts as a peer hit. The daemon
+// computes, replies X-Cache: miss with the simulation's own result,
+// and counts one cache miss and no peer hit.
+func TestPeerJunkIsAMiss(t *testing.T) {
+	peerDir := t.TempDir()
+	var asked atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/artifact/") {
+			asked.Add(1)
+		}
+		_, _ = w.Write([]byte("junk"))
+	}))
+	t.Cleanup(stub.Close)
+	if err := portfile.Write(filepath.Join(peerDir, "stub.port"), strings.TrimPrefix(stub.URL, "http://")); err != nil {
+		t.Fatal(err)
+	}
+	peers := NewPeerSource(peerDir)
+	_, ts := newTestServer(t, Config{Workers: 1, Cache: openCache(t, filepath.Join(t.TempDir(), "cache")), Peers: peers})
+	peers.SetSelf(strings.TrimPrefix(ts.URL, "http://"))
+
+	cfg := simrun.Config{Protocol: "dragon", Ops: 140, Seed: 11}
+	code, hdr, body := postJSON(t, ts.URL+"/v1/simulate", cfg)
+	if code != http.StatusOK || hdr.Get("X-Cache") != "miss" {
+		t.Fatalf("code=%d X-Cache=%q (%s), want 200/miss", code, hdr.Get("X-Cache"), body)
+	}
+	if asked.Load() == 0 {
+		t.Fatal("the daemon never asked its peer")
+	}
+	want, err := simrun.Run(context.Background(), cfg.Normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got SimulateResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Output != want.Output || got.Cycles != want.Cycles || got.Pass != want.Pass {
+		t.Fatalf("reply is not the simulation's result: cycles %d pass %v, want %d %v",
+			got.Cycles, got.Pass, want.Cycles, want.Pass)
+	}
+	_, _, metrics := getHeader(t, ts.URL+"/metrics")
+	for _, line := range []string{"cachesyncd_peer_hits_total 0\n", "cachesyncd_cache_misses_total 1\n"} {
+		if !strings.Contains(string(metrics), line) {
+			t.Errorf("metrics lack %q:\n%s", line, metrics)
+		}
 	}
 }
 

@@ -22,10 +22,10 @@ import (
 // respawned replicas (new ephemeral port, same file) are picked up
 // without any registration protocol.
 //
-// Fetch is the runner.Cache fetcher the daemon installs on its result
-// cache: it runs on the cache-miss path, so its latency is bounded by
-// a short per-peer timeout — a slow or dead peer costs one timeout,
-// then the replica computes locally as if the fleet were cold.
+// A flight leader calls Fetch after a local result-cache miss and
+// before computing, so its latency is bounded by a short per-peer
+// timeout — a slow or dead peer costs one timeout, then the replica
+// computes locally as if the fleet were cold.
 type PeerSource struct {
 	dir    string
 	client *http.Client
@@ -97,8 +97,10 @@ func (p *PeerSource) scan() []string {
 	return addrs
 }
 
-// Fetch asks each peer for the entry, first answer wins. It matches
-// runner.Fetcher.
+// Fetch asks each peer for the entry stored under a raw key (see
+// runner.Cache.KeyFor), first answer wins. The bytes are unverified:
+// the caller hands them to runner.Cache.PutRaw, which checks them
+// against the key.
 func (p *PeerSource) Fetch(key string) ([]byte, bool) {
 	for _, addr := range p.scan() {
 		resp, err := p.client.Get(fmt.Sprintf("http://%s/v1/artifact/%s", addr, key))

@@ -26,15 +26,17 @@ type hitCase struct {
 }
 
 var hitCases = []hitCase{
-	// 43.0 allocations, 6.85 KB (85.5 and 11.45 KB decoding the entry).
-	{"/v1/simulate", `{"protocol":"bitar","ops":200,"seed":7}`, func() any { return new(SimulateResponse) }, 47, 7.5},
-	// 41.1, 4.58 KB (77.1, 6.83 KB).
-	{"/v1/check", `{"protocol":"illinois","depth":4}`, func() any { return new(CheckResponse) }, 45, 5.0},
-	// 53.1, 5.45 KB (99.1, 8.67 KB).
-	{"/v1/sweep", `{"protocols":["dragon"],"procs":[1,2],"ops":100,"seed":7}`, func() any { return new(SweepResponse) }, 57, 6.0},
-	// A failing check, pass false with a counterexample: 44.0, 5.19 KB
-	// (80.1, 7.70 KB).
-	{"/v1/check", `{"protocol":"illinois","inject":"drop-invalidate","depth":4}`, func() any { return new(CheckResponse) }, 48, 5.7},
+	// 40.1 allocations, 6.64 KB (43.0 and 6.85 KB when the runner
+	// cache's single flight ran inside the daemon's; 85.5 and 11.45 KB
+	// decoding the entry).
+	{"/v1/simulate", `{"protocol":"bitar","ops":200,"seed":7}`, func() any { return new(SimulateResponse) }, 44, 7.3},
+	// 38.1, 4.36 KB (41.1, 4.58 KB; 77.1, 6.83 KB).
+	{"/v1/check", `{"protocol":"illinois","depth":4}`, func() any { return new(CheckResponse) }, 42, 4.8},
+	// 50.0, 5.23 KB (53.1, 5.45 KB; 99.1, 8.67 KB).
+	{"/v1/sweep", `{"protocols":["dragon"],"procs":[1,2],"ops":100,"seed":7}`, func() any { return new(SweepResponse) }, 54, 5.8},
+	// A failing check, pass false with a counterexample: 41.1, 4.97 KB
+	// (44.0, 5.19 KB; 80.1, 7.70 KB).
+	{"/v1/check", `{"protocol":"illinois","inject":"drop-invalidate","depth":4}`, func() any { return new(CheckResponse) }, 45, 5.5},
 }
 
 // jobOf derives the runner job a daemon stores a request under.
@@ -161,7 +163,8 @@ func TestHitMatchesMiss(t *testing.T) {
 // with the job store past its capacity, and the allocations of the
 // httptest request and recorder, measured around a handler that does
 // nothing, are subtracted. Decoding the stored entry, re-encoding the
-// result or formatting the job id with fmt shows here.
+// result, formatting the job id with fmt or a second single-flight
+// group shows here.
 func TestHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random, so counts vary")

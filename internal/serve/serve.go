@@ -64,8 +64,7 @@ type Config struct {
 	RetryAfter time.Duration
 	// Cache, when non-nil, is the on-disk result cache every execution
 	// goes through: identical requests are answered from disk across
-	// process restarts, and concurrent identical requests collapse onto
-	// one execution.
+	// process restarts.
 	Cache *runner.Cache
 	// MaxJobs bounds the in-memory job-record store for NDJSON
 	// streaming; zero means 512.
@@ -118,12 +117,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// execOut is what one deduplicated execution yields: the job's result
-// plus the leading request's job ID, so coalesced followers can point
-// their watchers at the stream that actually ran.
+// execOut is what one request's execution yields: the artifact, how it
+// was obtained, and the job ID of the request that ran it, so coalesced
+// followers can point their watchers at the stream that actually ran.
 type execOut struct {
-	jr    runner.JobResult
-	jobID string
+	art       runner.Artifact
+	jobID     string
+	cached    bool // from the result cache, local or a fleet peer's
+	coalesced bool // shared another in-flight request's execution
 }
 
 // Server is the daemon. Create with New, mount Handler, and Close when
@@ -143,25 +144,13 @@ type Server struct {
 // New builds a Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	return &Server{
 		cfg:    cfg,
 		gate:   newGate(cfg.Workers, cfg.Queue),
 		jobs:   newJobStore(cfg.MaxJobs),
 		met:    newMetrics(),
 		shards: newShardStore(),
 	}
-	if cfg.Cache != nil && cfg.Peers != nil {
-		// Count fleet hits here so /metrics reports them; the cache
-		// itself validates and stores whatever the peers return.
-		cfg.Cache.SetFetcher(func(key string) ([]byte, bool) {
-			data, ok := cfg.Peers.Fetch(key)
-			if ok {
-				s.met.peerHits.Add(1)
-			}
-			return data, ok
-		})
-	}
-	return s
 }
 
 // StartDrain flips the server into draining mode: /healthz reports 503
@@ -351,12 +340,12 @@ func decodeBodyLimit(r *http.Request, into any, limit int64) error {
 
 // execute runs one deduplicated, admission-controlled request: the
 // single-flight group collapses concurrent identical requests so only
-// the leader passes the admission gate and runs the job itself,
-// holding the slot until the job returns; followers wait on the
-// leader's result without consuming capacity. run receives the
-// execution context and the job record to stream progress into.
+// the leader passes the admission gate and produces the result,
+// holding the slot until it returns; followers wait on the leader's
+// result without consuming capacity. run receives the execution
+// context and the job record to stream progress into.
 func (s *Server) execute(ctx context.Context, jb *jobRec, kind, key string,
-	run func(ctx context.Context, jb *jobRec) (runner.Artifact, error)) (runner.Artifact, execMeta, error) {
+	run func(ctx context.Context, jb *jobRec) (runner.Artifact, error)) (execOut, error) {
 
 	jb.emit("queued", kind)
 	out, coalesced, err := s.fl.DoCtx(ctx, key, func() (execOut, error) {
@@ -367,39 +356,66 @@ func (s *Server) execute(ctx context.Context, jb *jobRec, kind, key string,
 		}
 		defer release()
 		jb.emit("started", "")
-		jr, err := runner.RunOne(runner.Job{
-			Name:       kind,
-			ConfigHash: key,
-			Run: func() (runner.Artifact, error) {
-				return run(ctx, jb)
-			},
-		}, s.cfg.Cache)
+		out, err := s.lookupOrRun(runner.Job{Name: kind, ConfigHash: key, Run: func() (runner.Artifact, error) {
+			return run(ctx, jb)
+		}})
 		if err != nil {
 			jb.finish("error", err.Error())
 			return execOut{}, err
 		}
-		if jr.Cached {
+		if out.cached {
 			jb.emit("progress", "served from result cache")
 		}
-		jb.finish("done", fmt.Sprintf("pass=%v cached=%v", jr.Artifact.Pass, jr.Cached))
-		return execOut{jr: jr, jobID: jb.ID}, nil
+		jb.finish("done", fmt.Sprintf("pass=%v cached=%v", out.art.Pass, out.cached))
+		out.jobID = jb.ID
+		return out, nil
 	})
 	if err != nil {
 		// A follower's record never saw the leader's events; close it out.
 		jb.finish("error", err.Error())
-		return runner.Artifact{}, execMeta{}, err
+		return execOut{}, err
 	}
-	meta := execMeta{jobID: out.jobID, cached: out.jr.Cached, coalesced: coalesced || out.jr.Shared}
 	if coalesced {
+		out.coalesced = true
 		s.met.coalesced.Add(1)
 		jb.finish("coalesced", "result shared with job "+out.jobID)
 	}
-	if out.jr.Cached {
+	if out.cached {
 		s.met.cacheHits.Add(1)
-	} else if !meta.coalesced {
+	} else if !coalesced {
 		s.met.cacheMisses.Add(1)
 	}
-	return out.jr.Artifact, meta, nil
+	return out, nil
+}
+
+// lookupOrRun is a flight leader's work: the result cache, then the
+// fleet's peers, and only on a fleet-wide miss the job itself, whose
+// artifact is stored. A peer's entry is a hit once the cache has
+// verified it against the job's key and stored it.
+func (s *Server) lookupOrRun(j runner.Job) (execOut, error) {
+	c := s.cfg.Cache
+	if c != nil {
+		if art, ok := c.Get(j); ok {
+			return execOut{art: art, cached: true}, nil
+		}
+		if s.cfg.Peers != nil {
+			key := c.KeyFor(j.Name, j.ConfigHash)
+			if data, ok := s.cfg.Peers.Fetch(key); ok {
+				if art, ok := c.PutRaw(key, data); ok {
+					s.met.peerHits.Add(1)
+					return execOut{art: art, cached: true}, nil
+				}
+			}
+		}
+	}
+	art, err := runner.RunOne(j)
+	if err != nil {
+		return execOut{}, err
+	}
+	if c != nil {
+		c.Put(j, art)
+	}
+	return execOut{art: art}, nil
 }
 
 // xcache is the X-Cache response-header value for an execution: "hit"
@@ -407,21 +423,15 @@ func (s *Server) execute(ctx context.Context, jb *jobRec, kind, key string,
 // "coalesced" (shared another in-flight request's execution), or
 // "miss" (executed fresh). The cluster router relays this header and
 // loadgen tallies it into a fleet hit ratio without parsing bodies.
-func (m execMeta) xcache() string {
+func (o execOut) xcache() string {
 	switch {
-	case m.cached:
+	case o.cached:
 		return "hit"
-	case m.coalesced:
+	case o.coalesced:
 		return "coalesced"
 	default:
 		return "miss"
 	}
-}
-
-type execMeta struct {
-	jobID     string
-	cached    bool
-	coalesced bool
 }
 
 // respond is the shared synchronous/asynchronous tail of the three
@@ -446,24 +456,24 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, kind, key strin
 		go func() {
 			defer s.inflight.Done()
 			defer cancel()
-			_, _, _ = s.execute(ctx, jb, kind, key, run)
+			_, _ = s.execute(ctx, jb, kind, key, run)
 		}()
 		s.writeJSON(w, http.StatusAccepted, map[string]any{"job": jb.ID, "status": "accepted"}, false)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
-	art, meta, err := s.execute(ctx, jb, kind, key, run)
+	out, err := s.execute(ctx, jb, kind, key, run)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 	h := w.Header()
-	h.Set("X-Cache", meta.xcache())
+	h.Set("X-Cache", out.xcache())
 	h.Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	// 64 bytes hold the envelope's other fields.
-	_, _ = w.Write(appendReply(make([]byte, 0, len(meta.jobID)+len(art.Output)+64), art, meta))
+	_, _ = w.Write(appendReply(make([]byte, 0, len(out.jobID)+len(out.art.Output)+64), out))
 }
 
 // appendReply appends a work endpoint's 200 reply to dst:
@@ -473,19 +483,19 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, kind, key strin
 // where <fields> is the artifact's Output, copied verbatim. The job id
 // stays the first field, and it needs no escaping: jobStore builds ids
 // from a hex prefix and a decimal counter.
-func appendReply(dst []byte, art runner.Artifact, meta execMeta) []byte {
+func appendReply(dst []byte, out execOut) []byte {
 	dst = append(dst, `{"job":"`...)
-	dst = append(dst, meta.jobID...)
+	dst = append(dst, out.jobID...)
 	dst = append(dst, `","pass":`...)
-	dst = strconv.AppendBool(dst, art.Pass)
-	if meta.cached {
+	dst = strconv.AppendBool(dst, out.art.Pass)
+	if out.cached {
 		dst = append(dst, `,"cached":true`...)
 	}
-	if meta.coalesced {
+	if out.coalesced {
 		dst = append(dst, `,"coalesced":true`...)
 	}
 	dst = append(dst, ',')
-	dst = append(dst, art.Output...)
+	dst = append(dst, out.art.Output...)
 	return append(dst, "}\n"...)
 }
 
@@ -537,7 +547,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
 		return
 	}
-	key := "simulate|" + cfg.Hash()
 	run := func(ctx context.Context, jb *jobRec) (runner.Artifact, error) {
 		var hooks simrun.Hooks
 		if cfg.LogN > 0 {
@@ -553,7 +562,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}{res.Cycles, res.Output})
 		return runner.Artifact{Output: fields, Pass: res.Pass}, err
 	}
-	s.respond(w, r, "simulate", key, run)
+	s.respond(w, r, "simulate", SimulateKey(cfg), run)
+}
+
+// SimulateKey is a simulation's cache, single-flight and routing key:
+// "simulate|" followed by the normalized config's Hash. The replica
+// stores the result under it and the cluster router routes by it.
+func SimulateKey(cfg simrun.Config) string {
+	return "simulate|" + cfg.Normalize().Hash()
 }
 
 // --- /v1/check ---
@@ -875,9 +891,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // handleArtifact serves one raw result-cache entry by content-addressed
 // key — the fleet artifact exchange's read side — as the binary entry
 // the runner stores (application/octet-stream). It is a pure disk
-// lookup: no admission slot, no computation, no recursion into the
-// peer fetcher (a replica that does not hold the entry answers 404,
-// never "let me go ask around"). Entries are only served when they
+// lookup: no admission slot, no computation, no peer fetch (a
+// replica that does not hold the entry answers 404, never "let me go
+// ask around"). Entries are only served when they
 // verify against the requested key and this process's source hash, so
 // a mixed-version fleet degrades to misses instead of serving results
 // the local code would not produce.

@@ -59,10 +59,6 @@ type Config struct {
 	// NoCheck disables the online coherence checker (the CLI's -check
 	// flag, inverted so the JSON zero value keeps checking on).
 	NoCheck bool `json:"nocheck,omitempty"`
-	// NoTables keeps every protocol decision on the method path
-	// instead of the compiled transition tables — the oracle side of
-	// the table-vs-method differential (internal/ptest).
-	NoTables bool `json:"notables,omitempty"`
 }
 
 // Normalize fills defaulted fields in place and returns the config,
@@ -108,9 +104,9 @@ func (c Config) Normalize() Config {
 // ConfigHash for caching and the daemon's single-flight key. Callers
 // should hash the normalized config so equivalent requests collide.
 func (c Config) Hash() string {
-	return fmt.Sprintf("%s inject=%s p=%d w=%d b=%d u=%d um=%v buses=%d tiers=%d remote=%d %s ops=%d it=%d hold=%d seed=%d trace=%s scheme=%s log=%d check=%v tables=%v",
+	return fmt.Sprintf("%s inject=%s p=%d w=%d b=%d u=%d um=%v buses=%d tiers=%d remote=%d %s ops=%d it=%d hold=%d seed=%d trace=%s scheme=%s log=%d check=%v",
 		c.Protocol, c.Inject, c.Procs, c.Ways, c.BlockWords, c.UnitWords, c.UnitMode, c.Buses, c.Tiers, c.RemoteCycles,
-		c.Workload, c.Ops, c.Iters, c.Hold, c.Seed, c.TraceFile, c.Scheme, c.LogN, !c.NoCheck, !c.NoTables)
+		c.Workload, c.Ops, c.Iters, c.Hold, c.Seed, c.TraceFile, c.Scheme, c.LogN, !c.NoCheck)
 }
 
 // Validate rejects configurations the engine would panic on or that a
@@ -243,7 +239,7 @@ func buildSimConfig(cfg Config) (sim.Config, error) {
 		Procs:    cfg.Procs,
 		Protocol: p,
 		Geometry: g,
-		Cache:    cache.Config{Sets: 1, Ways: cfg.Ways, UnitMode: cfg.UnitMode, NoTables: cfg.NoTables},
+		Cache:    cache.Config{Sets: 1, Ways: cfg.Ways, UnitMode: cfg.UnitMode},
 		Timing:   sim.DefaultTiming(),
 		NumBuses: cfg.Buses,
 	}, nil
