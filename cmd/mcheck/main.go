@@ -44,7 +44,7 @@ var (
 	noSpeed   = flag.Bool("nospeedup", false, "skip the workers=1 rerun that measures parallel speedup")
 	jsonOut   = flag.Bool("json", false, "emit one JSON summary per run instead of text")
 	symmetry  = flag.Bool("symmetry", true, "explore modulo processor permutations (identical verdicts, up to procs! fewer states)")
-	por       = flag.Bool("por", false, "partial-order reduction: explore each block's subsystem separately (identical verdicts and counterexamples, far fewer states at blocks>1)")
+	por       = flag.Bool("por", false, "partial-order reduction: a state that differs from the initial one in one block expands only that block's actions (identical verdicts and counterexamples, far fewer states at blocks>1)")
 	memBudget = flag.Int64("mem-budget", 0, "visited-set RAM budget in bytes (0 = unbounded): over-budget shards seal to compressed sorted runs on disk")
 	ckptDir   = flag.String("checkpoint", "", "directory for level-boundary checkpoints; a killed run restarts from the last completed level with -resume (single protocol only)")
 	resume    = flag.Bool("resume", false, "with -checkpoint: resume the directory's checkpoint if one exists, start fresh otherwise")

@@ -57,11 +57,6 @@ func (c *Cluster) handleShardedCheck(w http.ResponseWriter, r *http.Request, cr 
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
-	if cr.POR {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error": "por does not compose with sharded checking (run por unsharded)"})
-		return
-	}
 
 	var reps []*replica
 	for _, name := range c.order {
@@ -130,27 +125,9 @@ type httpPeer struct {
 	seq int64
 }
 
-// shardOpenMsg mirrors the replica's open body: the check request
-// flattened with the session coordinates.
-type shardOpenMsg struct {
-	serve.CheckRequest
-	Session string `json:"session"`
-	Self    int    `json:"self"`
-	Total   int    `json:"total"`
-	Resume  bool   `json:"resume,omitempty"`
-}
-
-// shardCallMsg mirrors the replica's phase-call body.
-type shardCallMsg struct {
-	Session string            `json:"session"`
-	Seq     int64             `json:"seq,omitempty"`
-	Cands   []mcheck.WireCand `json:"cands,omitempty"`
-	ID      uint64            `json:"id,omitempty"`
-}
-
 func (p *httpPeer) Open() (*mcheck.ShardOpenReply, error) {
 	var reply mcheck.ShardOpenReply
-	err := p.post(p.ctx, "open", shardOpenMsg{
+	err := p.post(p.ctx, "open", serve.ShardOpenRequest{
 		CheckRequest: p.cr, Session: p.session, Self: p.self, Total: p.total,
 	}, &reply)
 	if err != nil {
@@ -161,7 +138,7 @@ func (p *httpPeer) Open() (*mcheck.ShardOpenReply, error) {
 
 func (p *httpPeer) Expand() (*mcheck.ShardExpandReply, error) {
 	var reply mcheck.ShardExpandReply
-	if err := p.post(p.ctx, "expand", shardCallMsg{Session: p.session}, &reply); err != nil {
+	if err := p.post(p.ctx, "expand", serve.ShardCallRequest{Session: p.session}, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
@@ -169,7 +146,7 @@ func (p *httpPeer) Expand() (*mcheck.ShardExpandReply, error) {
 
 func (p *httpPeer) Absorb(seq int64, cands []mcheck.WireCand) (*mcheck.ShardAbsorbReply, error) {
 	var reply mcheck.ShardAbsorbReply
-	if err := p.post(p.ctx, "absorb", shardCallMsg{Session: p.session, Seq: seq, Cands: cands}, &reply); err != nil {
+	if err := p.post(p.ctx, "absorb", serve.ShardCallRequest{Session: p.session, Seq: seq, Cands: cands}, &reply); err != nil {
 		return nil, err
 	}
 	p.seq = reply.Seq
@@ -178,7 +155,7 @@ func (p *httpPeer) Absorb(seq int64, cands []mcheck.WireCand) (*mcheck.ShardAbso
 
 func (p *httpPeer) TraceHop(id uint64) (*mcheck.ShardHopReply, error) {
 	var reply mcheck.ShardHopReply
-	if err := p.post(p.ctx, "trace", shardCallMsg{Session: p.session, ID: id}, &reply); err != nil {
+	if err := p.post(p.ctx, "trace", serve.ShardCallRequest{Session: p.session, ID: id}, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil
@@ -190,7 +167,7 @@ func (p *httpPeer) TraceHop(id uint64) (*mcheck.ShardHopReply, error) {
 func (p *httpPeer) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	return p.post(ctx, "close", shardCallMsg{Session: p.session}, &struct {
+	return p.post(ctx, "close", serve.ShardCallRequest{Session: p.session}, &struct {
 		Closed bool `json:"closed"`
 	}{})
 }
@@ -261,7 +238,7 @@ func (p *httpPeer) do(ctx context.Context, phase string, payload []byte, into an
 // state and is accepted too; past that, only a genuine checkpoint
 // restore at the right sequence is.
 func (p *httpPeer) failover(ctx context.Context) error {
-	payload, err := json.Marshal(shardOpenMsg{
+	payload, err := json.Marshal(serve.ShardOpenRequest{
 		CheckRequest: p.cr, Session: p.session,
 		Self: p.self, Total: p.total, Resume: true,
 	})

@@ -54,7 +54,8 @@ func checkResult(t *testing.T, body []byte) (bool, []byte) {
 // exploration equivalence story: a /v1/check sharded across three
 // replicas must return byte-identical results (timing aside) to the
 // same request answered by one replica — verdict, state and
-// transition counts, and the counterexample trace on a seeded mutant.
+// transition counts, and the counterexample trace on seeded mutants,
+// unreduced and under POR.
 func TestShardedCheckMatchesSingle(t *testing.T) {
 	b0, b1, b2 := newBackend(t), newBackend(t), newBackend(t)
 	_, ts := newAttachCluster(t, b0.addr, b1.addr, b2.addr)
@@ -78,6 +79,12 @@ func TestShardedCheckMatchesSingle(t *testing.T) {
 		{"illinois-skip-writeback", map[string]any{
 			"protocol": "illinois", "inject": "skip-writeback", "procs": 3, "blocks": 2, "depth": 6, "symmetry": true,
 		}, 4, false}, // more shards than replicas: assignment wraps
+		{"bitar-por-clean", map[string]any{
+			"protocol": "bitar", "procs": 3, "blocks": 2, "depth": 5, "symmetry": true, "por": true,
+		}, 3, true},
+		{"bitar-por-drop-invalidate", map[string]any{
+			"protocol": "bitar", "inject": "drop-invalidate", "procs": 3, "blocks": 2, "depth": 5, "symmetry": true, "por": true,
+		}, 3, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,18 +143,10 @@ func TestShardedCheckValidation(t *testing.T) {
 	b := newBackend(t)
 	_, ts := newAttachCluster(t, b.addr)
 
-	// POR cannot shard: per-block sub-runs would each need a fleet pass.
-	code, body := postCheck(t, ts.URL, map[string]any{
-		"protocol": "bitar", "por": true, "shards": 2,
-	})
-	if code != http.StatusBadRequest {
-		t.Fatalf("por+shards: status %d: %s", code, body)
-	}
-
 	// Out-of-range shard counts are the coordinator's error, not a
 	// replica's.
 	for _, shards := range []int{-1, maxCheckShards + 1} {
-		code, body = postCheck(t, ts.URL, map[string]any{"protocol": "bitar", "shards": shards})
+		code, body := postCheck(t, ts.URL, map[string]any{"protocol": "bitar", "shards": shards})
 		if code != http.StatusBadRequest {
 			t.Fatalf("shards=%d: status %d: %s", shards, code, body)
 		}
@@ -155,7 +154,7 @@ func TestShardedCheckValidation(t *testing.T) {
 
 	// shards=1 is the plain proxy path; the coordinator-only field is
 	// stripped before the replica's strict decoder sees the body.
-	code, body = postCheck(t, ts.URL, map[string]any{
+	code, body := postCheck(t, ts.URL, map[string]any{
 		"protocol": "bitar", "procs": 2, "depth": 3, "shards": 1,
 	})
 	if code != http.StatusOK {

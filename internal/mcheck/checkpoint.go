@@ -30,8 +30,8 @@ import (
 //     checkpoint intact.
 //
 // Opening with resume loads the manifest if present — verifying an
-// options fingerprint (which pins the POR block and the session
-// coordinates too), every run's checksum, and the snapshot's —
+// options fingerprint (which pins POR and the session coordinates
+// too), every run's checksum, and the snapshot's —
 // rebuilds the fingerprint sets from the runs' hash sections, and
 // reports the restored level so the coordinator continues at the next
 // one. Insertion order survives the reload, so state IDs do too: other
@@ -45,16 +45,14 @@ import (
 // is what makes always-pass-Resume kill/retry loops safe; without
 // Resume it refuses a directory that holds one.
 //
-// POR runs checkpoint hierarchically: each per-block sub-run keeps its
-// own checkpoint under block-<b>/, and POR_MANIFEST.json accumulates
-// the numeric results of completed clean blocks. A block that finds a
-// violation stops all persistence — the remaining work is bounded by
-// the violation's depth, and a resumed run re-derives it.
+// A POR run is one pass like any other and checkpoints in this format.
+// The per-block layout of earlier builds (POR_MANIFEST.json plus
+// block-<b>/ subdirectories) is not read: such a directory resumes
+// nothing and starts fresh.
 
 const (
 	snapMagic        = 0x3153434d // "MCS1" little-endian
 	ckptManifestName = "MANIFEST.json"
-	porManifestName  = "POR_MANIFEST.json"
 	ckptVersion      = 2
 )
 
@@ -66,14 +64,14 @@ type ckptManifest struct {
 }
 
 // optionsHash fingerprints everything that shapes the explored state
-// space — the POR block and the session coordinates included — so a
-// checkpoint is never resumed under different options or by another
-// session. Workers is deliberately absent: resuming with a different
-// worker count is legal and byte-identical.
-func optionsHash(o Options, porBlock, self, total int) string {
-	s := fmt.Sprintf("v%d|%s|p%d b%d w%d d%d|sym=%t|por=%d|max=%d|budget=%d|sess=%d/%d",
+// space — POR and the session coordinates included — so a checkpoint
+// is never resumed under different options or by another session.
+// Workers is deliberately absent: resuming with a different worker
+// count is legal and byte-identical.
+func optionsHash(o Options, self, total int) string {
+	s := fmt.Sprintf("v%d|%s|p%d b%d w%d d%d|sym=%t|por=%t|max=%d|budget=%d|sess=%d/%d",
 		ckptVersion, o.Protocol.Name(), o.Procs, o.Blocks, o.Words, o.Depth,
-		o.Symmetry, porBlock, o.MaxStates, o.MemBudget, self, total)
+		o.Symmetry, o.POR, o.MaxStates, o.MemBudget, self, total)
 	return fmt.Sprintf("%016x", fnv1a(0, []byte(s)))
 }
 
@@ -94,7 +92,7 @@ func (s *ShardSession) SetCheckpointDir(dir string, resume bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("mcheck: checkpoint dir: %w", err)
 	}
-	s.ck = &checkpointer{dir: dir, hash: optionsHash(s.o, s.porBlock, s.self, s.total)}
+	s.ck = &checkpointer{dir: dir, hash: optionsHash(s.o, s.self, s.total)}
 	s.resume = resume
 	return nil
 }
@@ -426,91 +424,4 @@ func readSnapshot(path string, st *spillStore, total int) (*snapPoint, error) {
 	st.seals = int(seals)
 	st.nextSeq = int(nextSeq)
 	return &snapPoint{seq: int64(seq), transitions: int64(transitions), frontier: frontier}, nil
-}
-
-// POR accumulator: the numeric results of completed clean per-block
-// sub-runs, persisted so a resumed POR check skips them.
-
-type porBlockResult struct {
-	States        int64 `json:"states"`
-	Transitions   int64 `json:"transitions"`
-	DepthReached  int   `json:"depth_reached"`
-	Truncated     bool  `json:"truncated"`
-	Exhausted     bool  `json:"exhausted"`
-	SpilledStates int64 `json:"spilled_states,omitempty"`
-	SpilledBytes  int64 `json:"spilled_bytes,omitempty"`
-	SpillRuns     int   `json:"spill_runs,omitempty"`
-	SpillSeals    int   `json:"spill_seals,omitempty"`
-}
-
-type porManifest struct {
-	Version     int              `json:"version"`
-	OptionsHash string           `json:"options_hash"`
-	Blocks      []porBlockResult `json:"blocks"`
-}
-
-type porAccum struct {
-	dir    string
-	hash   string
-	Blocks []porBlockResult
-}
-
-// loadPORAccum opens (creating if needed) the POR checkpoint directory
-// and loads the accumulated block results, with the same
-// resume-if-present semantics as a block's own checkpoint.
-func loadPORAccum(o Options) (*porAccum, error) {
-	if err := os.MkdirAll(o.CheckpointDir, 0o755); err != nil {
-		return nil, fmt.Errorf("mcheck: checkpoint dir: %w", err)
-	}
-	a := &porAccum{dir: o.CheckpointDir, hash: optionsHash(o, -2, 0, 1)}
-	data, err := os.ReadFile(filepath.Join(a.dir, porManifestName))
-	if os.IsNotExist(err) {
-		return a, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !o.Resume {
-		return nil, fmt.Errorf("mcheck: %s already holds a checkpoint; pass Resume to continue it or use a fresh directory", a.dir)
-	}
-	var m porManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("mcheck: POR manifest: %w", err)
-	}
-	if m.Version != ckptVersion {
-		return nil, fmt.Errorf("mcheck: POR checkpoint version %d, want %d", m.Version, ckptVersion)
-	}
-	if m.OptionsHash != a.hash {
-		return nil, fmt.Errorf("mcheck: POR checkpoint was written under different options (hash %s, want %s)", m.OptionsHash, a.hash)
-	}
-	a.Blocks = m.Blocks
-	return a, nil
-}
-
-func (a *porAccum) save() error {
-	m := porManifest{Version: ckptVersion, OptionsHash: a.hash, Blocks: a.Blocks}
-	data, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return err
-	}
-	p := filepath.Join(a.dir, porManifestName)
-	if err := writeFileSync(p+".tmp", data); err != nil {
-		return err
-	}
-	if err := os.Rename(p+".tmp", p); err != nil {
-		return err
-	}
-	syncDir(a.dir)
-	return nil
-}
-
-// finishPOR removes the POR checkpoint (manifest and any per-block
-// subdirectories) after the check completes.
-func finishPOR(dir string) {
-	os.Remove(filepath.Join(dir, porManifestName))
-	os.Remove(filepath.Join(dir, porManifestName+".tmp"))
-	matches, _ := filepath.Glob(filepath.Join(dir, "block-*"))
-	for _, p := range matches {
-		os.RemoveAll(p)
-	}
 }

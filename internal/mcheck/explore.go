@@ -2,7 +2,6 @@ package mcheck
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"cachesync/internal/addr"
 )
@@ -71,11 +70,7 @@ func Run(opts Options) (*Result, error) {
 	if err := validate(o); err != nil {
 		return nil, err
 	}
-	if o.POR {
-		return runPOR(o)
-	}
-	res, _, err := runLocal(o, -1)
-	return res, err
+	return runLocal(o)
 }
 
 func validate(o Options) error {
@@ -100,28 +95,23 @@ func validate(o Options) error {
 	return nil
 }
 
-// runLocal is one kernel pass over a single in-process session,
-// expanding only block porBlock's actions when porBlock ≥ 0 (a POR
-// sub-run). On top of the level loop it adds what only an in-process
-// run has — the store's footprint in Progress, the spill statistics,
-// the observed arcs — and owns the checkpoint's lifecycle: a
-// directory that already holds one is refused without Resume, and the
-// checkpoint is deleted once the run completes, whatever the verdict;
-// on error it stays for a retry.
-func runLocal(o Options, porBlock int) (*Result, *ShardViolation, error) {
-	s := newSession(o, 0, 1, porBlock)
+// runLocal is one kernel pass over a single in-process session. On
+// top of the level loop it adds what only an in-process run has — the
+// store's footprint in Progress, the spill statistics, the observed
+// arcs — and owns the checkpoint's lifecycle: a directory that already
+// holds one is refused without Resume, and the checkpoint is deleted
+// once the run completes, whatever the verdict; on error it stays for
+// a retry.
+func runLocal(o Options) (*Result, error) {
+	s := newSession(o, 0, 1)
 	defer s.Close()
-	if o.CheckpointDir != "" {
-		dir := o.CheckpointDir
-		if porBlock >= 0 {
-			dir = filepath.Join(dir, fmt.Sprintf("block-%d", porBlock))
-		}
+	if dir := o.CheckpointDir; dir != "" {
 		if err := s.SetCheckpointDir(dir, o.Resume); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		s.ck.keepDir = porBlock < 0
+		s.ck.keepDir = true
 		if !o.Resume && s.ck.exists() {
-			return nil, nil, fmt.Errorf("mcheck: %s already holds a checkpoint; pass Resume to continue it or use a fresh directory", dir)
+			return nil, fmt.Errorf("mcheck: %s already holds a checkpoint; pass Resume to continue it or use a fresh directory", dir)
 		}
 	}
 	if prog := o.Progress; prog != nil {
@@ -132,9 +122,9 @@ func runLocal(o Options, porBlock int) (*Result, *ShardViolation, error) {
 			prog(p)
 		}
 	}
-	res, viol, err := explore(o, []ShardPeer{s})
+	res, err := explore(o, []ShardPeer{s})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if o.suiteHook != nil {
 		o.suiteHook(s.suiteRuns())
@@ -154,5 +144,5 @@ func runLocal(o Options, porBlock int) (*Result, *ShardViolation, error) {
 		res.Arcs = mergeArcs(runs)
 	}
 	s.DiscardCheckpoint()
-	return res, viol, nil
+	return res, nil
 }

@@ -75,15 +75,18 @@ type Options struct {
 	// replay unchanged.
 	Symmetry bool
 	// POR enables partial-order reduction: actions on different blocks
-	// commute (each touches only its own block's caches lines, memory
+	// commute (each touches only its own block's cache lines, memory
 	// words, lock tag, and shadow, and every invariant is per-block),
-	// so instead of exploring their interleavings the checker explores
-	// each block's subsystem separately and never visits a state with
-	// two modified blocks. Verdicts and counterexamples are identical
-	// to the unreduced run (see por.go for the argument and the
-	// differential test for the proof); state/transition counts and
-	// Exhausted/DepthReached cover the union of the per-block runs.
-	// Composes with Symmetry.
+	// so instead of exploring their interleavings the checker expands
+	// a state whose key differs from the initial one in block b's
+	// section by block b's actions alone, and never visits a state
+	// with two modified blocks. It is a filter inside the one BFS
+	// pass, so it composes with Symmetry, MemBudget, checkpointing and
+	// sharded exploration alike. Verdicts and counterexamples are
+	// identical to the unreduced run (see por.go for the argument and
+	// the differential test for the proof); state/transition counts
+	// and Exhausted/DepthReached cover the union of the per-block
+	// subsystems, and MaxStates truncates at a level boundary.
 	POR bool
 	// MemBudget, when positive, bounds the visited set's in-memory
 	// bytes: each of the 64 shards gets MemBudget/64, and a shard that
@@ -123,10 +126,10 @@ type Options struct {
 	// The slice aliases table storage and must not be retained. Tests
 	// use it to prove the symmetry quotient exact.
 	stateHook func(key []uint64)
-	// suiteHook, when set, is called once per in-process session (Run's,
-	// or each POR sub-run's) that completes, with the number of
-	// invariant-suite runs its expand workers made. Tests use it to
-	// gate the check-once rule of expandWorker.expand exactly.
+	// suiteHook, when set, is called once when Run's in-process session
+	// completes, with the number of invariant-suite runs its expand
+	// workers made. Tests use it to gate the check-once rule of
+	// expandWorker.expand exactly.
 	suiteHook func(runs int64)
 }
 

@@ -177,59 +177,64 @@ func TestShardSessionCheckpointResume(t *testing.T) {
 // count the level's expansion, so that a later resume reports what an
 // uninterrupted session reports at the same level.
 func TestRedispatchBetweenExpandAndAbsorb(t *testing.T) {
-	o := Options{Protocol: protocol.MustNew("bitar"), Procs: 3, Blocks: 2, Depth: 4, Workers: 2, Symmetry: true}
-	open := func(dir string, resume bool) (*ShardSession, *ShardOpenReply) {
-		t.Helper()
-		s, err := NewShardSession(o, 0, 1)
-		if err != nil {
-			t.Fatal(err)
+	for _, o := range []Options{
+		{Protocol: protocol.MustNew("bitar"), Procs: 3, Blocks: 2, Depth: 4, Workers: 2, Symmetry: true},
+		// Under POR the recount filters each state's actions as Expand does.
+		{Protocol: protocol.MustNew("bitar"), Procs: 3, Blocks: 2, Depth: 4, Workers: 2, Symmetry: true, POR: true},
+	} {
+		open := func(dir string, resume bool) (*ShardSession, *ShardOpenReply) {
+			t.Helper()
+			s, err := NewShardSession(o, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetCheckpointDir(dir, resume); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := s.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s, reply
 		}
-		if err := s.SetCheckpointDir(dir, resume); err != nil {
-			t.Fatal(err)
+		expand := func(s *ShardSession) []WireCand {
+			t.Helper()
+			ex, err := s.Expand()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ex.Out[0]
 		}
-		reply, err := s.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s, reply
-	}
-	expand := func(s *ShardSession) []WireCand {
-		t.Helper()
-		ex, err := s.Expand()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ex.Out[0]
-	}
-	absorb := func(s *ShardSession, seq int64, cands []WireCand) {
-		t.Helper()
-		if _, err := s.Absorb(seq, cands); err != nil {
-			t.Fatalf("absorb seq %d: %v", seq, err)
-		}
-	}
-	for _, crashAt := range []int64{1, 3} {
-		full, crashed := t.TempDir(), t.TempDir()
-		u, _ := open(full, false)
-		s, _ := open(crashed, false)
-		for seq := int64(1); seq <= crashAt; seq++ {
-			absorb(u, seq, expand(u))
-			if seq < crashAt {
-				absorb(s, seq, expand(s))
+		absorb := func(s *ShardSession, seq int64, cands []WireCand) {
+			t.Helper()
+			if _, err := s.Absorb(seq, cands); err != nil {
+				t.Fatalf("absorb seq %d: %v", seq, err)
 			}
 		}
-		cands := expand(s)
-		r, reply := open(crashed, true)
-		if !reply.Resumed || reply.Seq != crashAt-1 {
-			t.Fatalf("re-dispatched session resumed=%v at seq %d, want seq %d", reply.Resumed, reply.Seq, crashAt-1)
-		}
-		absorb(r, crashAt, cands)
-		counts := func(r *ShardOpenReply) [4]int64 { return [4]int64{r.Seq, r.States, r.Transitions, r.Frontier} }
-		_, want := open(full, true)
-		_, got := open(crashed, true)
-		if counts(got) != counts(want) {
-			t.Errorf("crash before absorb %d: seq, states, transitions and frontier resume as %v, uninterrupted %v",
-				crashAt, counts(got), counts(want))
+		for _, crashAt := range []int64{1, 3} {
+			full, crashed := t.TempDir(), t.TempDir()
+			u, _ := open(full, false)
+			s, _ := open(crashed, false)
+			for seq := int64(1); seq <= crashAt; seq++ {
+				absorb(u, seq, expand(u))
+				if seq < crashAt {
+					absorb(s, seq, expand(s))
+				}
+			}
+			cands := expand(s)
+			r, reply := open(crashed, true)
+			if !reply.Resumed || reply.Seq != crashAt-1 {
+				t.Fatalf("re-dispatched session resumed=%v at seq %d, want seq %d", reply.Resumed, reply.Seq, crashAt-1)
+			}
+			absorb(r, crashAt, cands)
+			counts := func(r *ShardOpenReply) [4]int64 { return [4]int64{r.Seq, r.States, r.Transitions, r.Frontier} }
+			_, want := open(full, true)
+			_, got := open(crashed, true)
+			if counts(got) != counts(want) {
+				t.Errorf("por=%v crash before absorb %d: seq, states, transitions and frontier resume as %v, uninterrupted %v",
+					o.POR, crashAt, counts(got), counts(want))
+			}
 		}
 	}
 }

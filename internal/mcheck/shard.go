@@ -19,14 +19,15 @@ import (
 //
 // Every exploration is one level-synchronized BFS driven by
 // RunSharded over session shards: Run is RunSharded over one
-// in-process ShardSession, each POR block is such a run with expansion
-// filtered to the block, and a fleet check drives remote replicas
-// speaking the same ShardPeer protocol over HTTP. The visited set is
-// partitioned across sessions by state hash (sessionShardOf); each
-// session holds the states it owns in a spill store, expands its slice
-// of the global frontier with Options.Workers goroutines, and mails
-// every newly discovered state — its own included — to the owner as a
-// WireCand. The coordinator drives the phases — expand everywhere,
+// in-process ShardSession, and a fleet check drives remote replicas
+// speaking the same ShardPeer protocol over HTTP. Under POR every
+// session filters each frontier state's expansion to one block's
+// actions (see por.go); the pass is otherwise the same. The visited
+// set is partitioned across sessions by state hash (sessionShardOf);
+// each session holds the states it owns in a spill store, expands its
+// slice of the global frontier with Options.Workers goroutines, and
+// mails every newly discovered state — its own included — to the owner
+// as a WireCand. The coordinator drives the phases — expand everywhere,
 // then absorb everywhere — so the level barrier stretches over the
 // network unchanged.
 //
@@ -46,9 +47,8 @@ import (
 // count — TestShardedEquivalence in process, and the cluster's
 // differential over HTTP.
 //
-// POR does not compose with sharding (each block would need its own
-// fleet pass), nor does MemBudget (spilling is per-process): both are
-// rejected for more than one session.
+// Every option composes with sharding but MemBudget (spilling is
+// per-process), which is rejected for more than one session.
 
 // sessionShardOf maps a state hash to its owning session shard. It
 // must stay independent of shardOfHash (which takes the top 6 bits),
@@ -80,8 +80,7 @@ func fromWire(w WireAction) Action {
 // WireOrd is a transition's global tiebreak ordinal: the discovering
 // parent's visited-table shard and key (its position in the global
 // frontier order) plus the action's index in the parent's full action
-// list — also under POR, whose expansion skips other blocks' actions,
-// so ordinals compare across blocks.
+// list — also under POR, whose expansion skips other blocks' actions.
 type WireOrd struct {
 	TShard    int      `json:"tshard"`
 	ParentKey []uint64 `json:"pkey"`
@@ -177,13 +176,15 @@ type ShardPeer interface {
 // ShardSession is one session shard's state: the slice of the visited
 // set it owns, its frontier, and one machine per expand worker.
 type ShardSession struct {
-	o        Options
-	self     int
-	total    int
-	porBlock int // ≥ 0: expand only this block's actions (a POR sub-run)
-	kw       int
-	workers  []*expandWorker
-	merged   [][]WireCand // per destination: the workers' outboxes joined
+	o       Options
+	self    int
+	total   int
+	kw      int
+	workers []*expandWorker
+	merged  [][]WireCand // per destination: the workers' outboxes joined
+	// porRoot is the canonical initial key under POR (nil otherwise),
+	// set by Open: expandBlock compares frontier keys against it.
+	porRoot []uint64
 
 	st    *spillStore // nil until Open
 	tmp   string      // spill directory owned by the session (no checkpointing)
@@ -245,9 +246,6 @@ func NewShardSession(opts Options, self, total int) (*ShardSession, error) {
 	if err := validate(o); err != nil {
 		return nil, err
 	}
-	if o.POR {
-		return nil, fmt.Errorf("mcheck: POR does not compose with sharded exploration")
-	}
 	if o.MemBudget > 0 && total > 1 {
 		return nil, fmt.Errorf("mcheck: MemBudget does not compose with sharded exploration (spilling is per-process)")
 	}
@@ -257,12 +255,12 @@ func NewShardSession(opts Options, self, total int) (*ShardSession, error) {
 	if total < 1 || self < 0 || self >= total {
 		return nil, fmt.Errorf("mcheck: shard %d/%d out of range", self, total)
 	}
-	return newSession(o, self, total, -1), nil
+	return newSession(o, self, total), nil
 }
 
 // newSession builds a session from validated options.
-func newSession(o Options, self, total, porBlock int) *ShardSession {
-	s := &ShardSession{o: o, self: self, total: total, porBlock: porBlock, pending: -1}
+func newSession(o Options, self, total int) *ShardSession {
+	s := &ShardSession{o: o, self: self, total: total, pending: -1}
 	for range o.Workers {
 		m := newMachine(o)
 		m.scopeChecks()
@@ -314,6 +312,9 @@ func (s *ShardSession) Open() (*ShardOpenReply, error) {
 		// the identity; run it anyway so any future asymmetric initial
 		// state is still handled correctly.
 		root, _ = m.canon.canonicalize(root)
+	}
+	if s.o.POR {
+		s.porRoot = slices.Clone(root)
 	}
 	h := hashKey(root)
 	reply := &ShardOpenReply{Workers: s.o.Workers, Root: sessionShardOf(h, s.total) == s.self}
@@ -453,13 +454,14 @@ func (w *expandWorker) expand(s *ShardSession, ctx context.Context, cursor *int6
 		id := s.front[i]
 		enc := s.st.key(id)
 		m.restoreKey(enc)
+		only := s.expandBlock(enc)
 		// wrote lists the blocks the last step wrote (nil: the machine
 		// is at enc); applyFailed marks a step whose apply panicked or
 		// livelocked.
 		var wrote []addr.Block
 		applyFailed := false
 		for j, a := range m.actions() {
-			if !s.expands(a) {
+			if only >= 0 && a.Block != uint64(only) {
 				continue
 			}
 			if applyFailed {
@@ -542,10 +544,22 @@ func (s *ShardSession) suiteRuns() int64 {
 	return n
 }
 
-// expands reports whether the session's Expand takes action a: every
-// action, or in a POR sub-run only its block's.
-func (s *ShardSession) expands(a Action) bool {
-	return s.porBlock < 0 || a.Block == uint64(s.porBlock)
+// expandBlock is POR's expansion filter: the block whose key section
+// differs from the root's, whose actions alone a frontier state with
+// this key expands, or -1 to expand every action — the root's, and
+// every state's without POR. The key is block-major (keyLayout), so
+// this is a word compare per block section.
+func (s *ShardSession) expandBlock(key []uint64) int {
+	if s.porRoot == nil {
+		return -1
+	}
+	stride := s.workers[0].m.lay.blockStride
+	for lo := 0; lo < len(key); lo += stride {
+		if !equalKey(key[lo:lo+stride], s.porRoot[lo:lo+stride]) {
+			return lo / stride
+		}
+	}
+	return -1
 }
 
 // frontierTransitions counts the transitions an Expand of the current
@@ -554,11 +568,14 @@ func (s *ShardSession) frontierTransitions() int64 {
 	m := s.workers[0].m
 	var n int64
 	for _, id := range s.front {
-		m.restoreKey(s.st.key(id))
+		key := s.st.key(id)
+		m.restoreKey(key)
+		only := s.expandBlock(key)
 		for _, a := range m.actions() {
-			if s.expands(a) {
-				n++
+			if only >= 0 && a.Block != uint64(only) {
+				continue
 			}
+			n++
 		}
 	}
 	return n
@@ -761,19 +778,14 @@ func RunSharded(opts Options, peers []ShardPeer) (*Result, error) {
 	if err := validate(o); err != nil {
 		return nil, err
 	}
-	if o.POR {
-		return nil, fmt.Errorf("mcheck: POR does not compose with sharded exploration")
-	}
 	if len(peers) < 1 {
 		return nil, fmt.Errorf("mcheck: no shard peers")
 	}
-	res, _, err := explore(o, peers)
-	return res, err
+	return explore(o, peers)
 }
 
-// explore is the kernel's level loop. Besides the Result it returns
-// the winning violation, whose ordinal POR compares across blocks.
-func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
+// explore is the kernel's level loop.
+func explore(o Options, peers []ShardPeer) (*Result, error) {
 	ctx := o.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -782,7 +794,7 @@ func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
 	res := &Result{
 		Protocol: o.Protocol.Name(),
 		Procs:    o.Procs, Blocks: o.Blocks, Words: o.Words,
-		Depth: o.Depth, Workers: o.Workers, Symmetry: o.Symmetry,
+		Depth: o.Depth, Workers: o.Workers, Symmetry: o.Symmetry, POR: o.POR,
 	}
 	finalize := func() *Result {
 		res.Elapsed = time.Since(start)
@@ -797,7 +809,7 @@ func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
 	for i, p := range peers {
 		reply, err := p.Open()
 		if err != nil {
-			return nil, nil, fmt.Errorf("mcheck: shard %d open: %w", i, err)
+			return nil, fmt.Errorf("mcheck: shard %d open: %w", i, err)
 		}
 		if i == 0 {
 			if reply.Workers > 0 {
@@ -806,11 +818,11 @@ func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
 			if len(reply.RootViolations) > 0 {
 				res.Counterexample = &Counterexample{Violations: reply.RootViolations}
 				res.States = 1
-				return finalize(), nil, nil
+				return finalize(), nil
 			}
 			seq = reply.Seq
 		} else if reply.Seq != seq {
-			return nil, nil, fmt.Errorf("mcheck: shard %d opened at level %d, shard 0 at %d", i, reply.Seq, seq)
+			return nil, fmt.Errorf("mcheck: shard %d opened at level %d, shard 0 at %d", i, reply.Seq, seq)
 		}
 		rooted = rooted || reply.Root
 		res.States += reply.States
@@ -818,7 +830,7 @@ func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
 		frontier += reply.Frontier
 	}
 	if !rooted {
-		return nil, nil, fmt.Errorf("mcheck: no shard owns the initial state")
+		return nil, fmt.Errorf("mcheck: no shard owns the initial state")
 	}
 	res.DepthReached = int(seq)
 	// A level that reached MaxStates ends the run; a resume past it
@@ -836,7 +848,7 @@ func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
 				depth, res.States, ctx.Err())
 		}
 		if ctx.Err() != nil {
-			return nil, nil, canceled()
+			return nil, canceled()
 		}
 		var wg sync.WaitGroup
 		for i, p := range peers {
@@ -848,14 +860,14 @@ func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
 		}
 		wg.Wait()
 		if ctx.Err() != nil {
-			return nil, nil, canceled()
+			return nil, canceled()
 		}
 		for i, err := range errs {
 			if err == nil && len(expands[i].Out) != len(peers) {
 				err = fmt.Errorf("reply routes to %d shards, want %d", len(expands[i].Out), len(peers))
 			}
 			if err != nil {
-				return nil, nil, fmt.Errorf("mcheck: shard %d expand at depth %d: %w", i, depth, err)
+				return nil, fmt.Errorf("mcheck: shard %d expand at depth %d: %w", i, depth, err)
 			}
 		}
 		for _, er := range expands {
@@ -867,7 +879,7 @@ func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
 		if viol != nil {
 			trace, err := rebuildShardTrace(peers, viol)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			viols := viol.Violations
 			if o.Symmetry {
@@ -897,7 +909,7 @@ func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
 			}
 			reply, err := p.Absorb(int64(depth), in)
 			if err != nil {
-				return nil, nil, fmt.Errorf("mcheck: shard %d absorb at depth %d: %w", d, depth, err)
+				return nil, fmt.Errorf("mcheck: shard %d absorb at depth %d: %w", d, depth, err)
 			}
 			frontier += reply.Added
 		}
@@ -914,7 +926,7 @@ func explore(o Options, peers []ShardPeer) (*Result, *ShardViolation, error) {
 	}
 
 	res.Exhausted = res.Counterexample == nil && !res.Truncated && frontier == 0
-	return finalize(), viol, nil
+	return finalize(), nil
 }
 
 // rebuildShardTrace follows parent pointers from the violating

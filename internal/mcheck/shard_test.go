@@ -36,13 +36,13 @@ func normalizeTiming(r *Result) {
 // TestShardedEquivalence checks that sharded exploration merges to the
 // byte-identical Result JSON of a single-process run, for several
 // shard counts, one and two workers per session, protocols, symmetry
-// modes, and a seeded mutant whose counterexample must survive the
-// cross-shard trace rebuild.
+// and POR modes, and seeded mutants whose counterexamples must survive
+// the cross-shard trace rebuild.
 func TestShardedEquivalence(t *testing.T) {
 	cases := []struct {
 		proto, inject string
 		procs, blocks int
-		sym           bool
+		sym, por      bool
 	}{
 		{proto: "bitar", procs: 2, blocks: 2, sym: true},
 		{proto: "bitar", procs: 3, blocks: 1, sym: false},
@@ -51,12 +51,21 @@ func TestShardedEquivalence(t *testing.T) {
 		{proto: "bitar", inject: "ignore-lock", procs: 3, blocks: 1, sym: true},
 		{proto: "locke", inject: "stale-lock-grant", procs: 2, blocks: 2, sym: false},
 		{proto: "berkeley", inject: "skip-writeback", procs: 2, blocks: 2, sym: true},
+		{proto: "bitar", procs: 3, blocks: 2, sym: true, por: true},
+		// rudolph's tag-only lines are the one exception to POR's
+		// per-block argument (see por.go).
+		{proto: "rudolph", procs: 3, blocks: 2, sym: false, por: true},
+		{proto: "illinois", inject: "drop-invalidate", procs: 2, blocks: 2, sym: true, por: true},
+		{proto: "locke", inject: "stale-lock-grant", procs: 2, blocks: 2, sym: false, por: true},
 	}
 	for _, c := range cases {
 		c := c
 		name := c.proto
 		if c.inject != "" {
 			name += "+" + c.inject
+		}
+		if c.por {
+			name += "/por"
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -71,7 +80,7 @@ func TestShardedEquivalence(t *testing.T) {
 				}
 				return p
 			}
-			o := Options{Protocol: mk(), Procs: c.procs, Blocks: c.blocks, Depth: 5, Workers: 1, Symmetry: c.sym}
+			o := Options{Protocol: mk(), Procs: c.procs, Blocks: c.blocks, Depth: 5, Workers: 1, Symmetry: c.sym, POR: c.por}
 			single, err := Run(o)
 			if err != nil {
 				t.Fatal(err)
@@ -106,31 +115,25 @@ func TestShardedEquivalence(t *testing.T) {
 }
 
 // TestShardedTruncation checks MaxStates parity with the single
-// process: same Truncated flag and state count at the cap.
+// process, unreduced and under POR: same Truncated flag, state count
+// and depth at the cap.
 func TestShardedTruncation(t *testing.T) {
-	o := Options{Protocol: protocol.MustNew("bitar"), Procs: 3, Blocks: 1, Depth: 6, Workers: 1, MaxStates: 200}
-	single, err := Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Protocol = protocol.MustNew("bitar")
-	sharded := runShardedInProc(t, o, 3)
-	if !single.Truncated || !sharded.Truncated {
-		t.Fatalf("expected truncation: single=%v sharded=%v", single.Truncated, sharded.Truncated)
-	}
-	if single.States != sharded.States || single.DepthReached != sharded.DepthReached {
-		t.Fatalf("truncation diverged: states %d vs %d, depth %d vs %d",
-			single.States, sharded.States, single.DepthReached, sharded.DepthReached)
-	}
-}
-
-// TestShardedRejectsPOR pins the documented scope limit.
-func TestShardedRejectsPOR(t *testing.T) {
-	o := Options{Protocol: protocol.MustNew("bitar"), Procs: 2, Blocks: 2, POR: true}
-	if _, err := NewShardSession(o, 0, 2); err == nil {
-		t.Fatal("NewShardSession accepted POR")
-	}
-	if _, err := RunSharded(o, []ShardPeer{nil}); err == nil {
-		t.Fatal("RunSharded accepted POR")
+	for _, o := range []Options{
+		{Protocol: protocol.MustNew("bitar"), Procs: 3, Blocks: 1, Depth: 6, Workers: 1, MaxStates: 200},
+		{Protocol: protocol.MustNew("bitar"), Procs: 3, Blocks: 2, Depth: 5, Workers: 1, Symmetry: true, POR: true, MaxStates: 120},
+	} {
+		single, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Protocol = protocol.MustNew("bitar")
+		sharded := runShardedInProc(t, o, 3)
+		if !single.Truncated || !sharded.Truncated {
+			t.Fatalf("por=%v: expected truncation: single=%v sharded=%v", o.POR, single.Truncated, sharded.Truncated)
+		}
+		if single.States != sharded.States || single.DepthReached != sharded.DepthReached {
+			t.Fatalf("por=%v: truncation diverged: states %d vs %d, depth %d vs %d",
+				o.POR, single.States, sharded.States, single.DepthReached, sharded.DepthReached)
+		}
 	}
 }

@@ -141,13 +141,13 @@ func TestSpillRunsDurableOnlyWithCheckpoint(t *testing.T) {
 		Symmetry: true, MemBudget: 4096}
 	o := opts.withDefaults()
 	for _, ckpt := range []bool{false, true} {
-		s := newSession(o, 0, 1, -1)
+		s := newSession(o, 0, 1)
 		if ckpt {
 			if err := s.SetCheckpointDir(t.TempDir(), false); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, _, err := explore(o, []ShardPeer{s})
+		res, err := explore(o, []ShardPeer{s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,9 +184,9 @@ func TestSpillTruncationParity(t *testing.T) {
 }
 
 // TestPORSpillBudget pins the POR interaction the spill store must
-// preserve: per-block sub-runs share one MaxStates budget, so a POR
-// run with a tiny MemBudget must report the same states, verdict, and
-// truncation as the in-memory POR run — and actually spill.
+// preserve: a POR run with a tiny MemBudget, whole or truncated by
+// MaxStates, must report the same states, verdict, and truncation as
+// the in-memory POR run — and actually spill.
 func TestPORSpillBudget(t *testing.T) {
 	for _, maxStates := range []int{0, 120} {
 		o := Options{

@@ -113,9 +113,6 @@ type Table struct {
 	source   []bool         // [state]
 }
 
-// Proto returns the protocol the table was compiled from.
-func (t *Table) Proto() Protocol { return t.proto }
-
 // NumStates returns the size of the compiled dense state range.
 func (t *Table) NumStates() int { return t.nstates }
 

@@ -204,8 +204,3 @@ func A5Replacement() *stats.Table {
 	}
 	return t
 }
-
-// Ablations runs every ablation table.
-func Ablations() []*stats.Table {
-	return []*stats.Table{A1WaiterPriority(), A2ConcurrentFlush(), A3SourceRetention(), A4UnitState(), A5Replacement()}
-}

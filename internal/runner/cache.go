@@ -85,10 +85,6 @@ func openCacheHash(dir, sourceHash string) (*Cache, error) {
 	return &Cache{sourceHash: sourceHash, log: log}, nil
 }
 
-// SourceHashValue exposes the computed source hash (for artifact
-// metadata).
-func (c *Cache) SourceHashValue() string { return c.sourceHash }
-
 // rawKey derives the 32-byte key the log stores a job's entry under:
 // sha256(source hash | 0 | name | 0 | config hash).
 func (c *Cache) rawKey(name, configHash string) [32]byte {

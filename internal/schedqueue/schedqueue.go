@@ -69,9 +69,6 @@ func New(g addr.Geometry, lockBlock, descBlock addr.Block, capSlots int, scheme 
 	}
 }
 
-// Cap returns the queue capacity.
-func (q *Queue) Cap() int { return q.cap }
-
 // slotAddr returns the address of ring slot i.
 func (q *Queue) slotAddr(i uint64) addr.Addr {
 	return q.slot0 + addr.Addr(i%uint64(q.cap))

@@ -297,6 +297,72 @@ func TestPeerJunkIsAMiss(t *testing.T) {
 	}
 }
 
+// TestPeerJunkHidesNoPeer: a peer whose artifact body the cache
+// rejects is skipped like a peer that missed, so the next peer's
+// genuine entry still serves the request. Of two stub peers the one
+// probed first (the lower address) answers junk, the other the entry
+// a separate daemon stored for the same configuration; the reply is a
+// hit, counted as one peer hit and no cache miss.
+func TestPeerJunkHidesNoPeer(t *testing.T) {
+	cfg := simrun.Config{Protocol: "dragon", Ops: 140, Seed: 12}
+	origin := openCache(t, filepath.Join(t.TempDir(), "origin"))
+	_, tsOrigin := newTestServer(t, Config{Workers: 1, Cache: origin})
+	if code, _, body := postJSON(t, tsOrigin.URL+"/v1/simulate", cfg); code != http.StatusOK {
+		t.Fatalf("origin simulate: %d %s", code, body)
+	}
+	key := origin.KeyFor("simulate", "simulate|"+cfg.Normalize().Hash())
+	code, _, entry := getHeader(t, tsOrigin.URL+"/v1/artifact/"+key)
+	if code != http.StatusOK {
+		t.Fatalf("origin artifact: %d %s", code, entry)
+	}
+
+	var junkAsked, entryAsked atomic.Int64
+	junk := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		junkAsked.Add(1)
+		_, _ = w.Write([]byte("junk"))
+	})
+	genuine := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/artifact/"+key {
+			http.NotFound(w, r)
+			return
+		}
+		entryAsked.Add(1)
+		_, _ = w.Write(entry)
+	})
+	a, b := httptest.NewUnstartedServer(nil), httptest.NewUnstartedServer(nil)
+	addrA, addrB := a.Listener.Addr().String(), b.Listener.Addr().String()
+	if addrA < addrB {
+		a.Config.Handler, b.Config.Handler = junk, genuine
+	} else {
+		a.Config.Handler, b.Config.Handler = genuine, junk
+	}
+	peerDir := t.TempDir()
+	for name, srv := range map[string]*httptest.Server{"a": a, "b": b} {
+		srv.Start()
+		t.Cleanup(srv.Close)
+		if err := portfile.Write(filepath.Join(peerDir, name+".port"), srv.Listener.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	peers := NewPeerSource(peerDir)
+	_, ts := newTestServer(t, Config{Workers: 1, Cache: openCache(t, filepath.Join(t.TempDir(), "cache")), Peers: peers})
+	peers.SetSelf(strings.TrimPrefix(ts.URL, "http://"))
+	code, hdr, body := postJSON(t, ts.URL+"/v1/simulate", cfg)
+	if code != http.StatusOK || hdr.Get("X-Cache") != "hit" {
+		t.Fatalf("code=%d X-Cache=%q (%s), want 200/hit from the second peer", code, hdr.Get("X-Cache"), body)
+	}
+	if junkAsked.Load() != 1 || entryAsked.Load() != 1 {
+		t.Fatalf("junk peer asked %d times, genuine peer %d; want 1 and 1", junkAsked.Load(), entryAsked.Load())
+	}
+	_, _, metrics := getHeader(t, ts.URL+"/metrics")
+	for _, line := range []string{"cachesyncd_peer_hits_total 1\n", "cachesyncd_cache_misses_total 0\n"} {
+		if !strings.Contains(string(metrics), line) {
+			t.Errorf("metrics lack %q:\n%s", line, metrics)
+		}
+	}
+}
+
 // TestPerRouteMetrics: /metrics exposes per-route request counts and
 // latency sums.
 func TestPerRouteMetrics(t *testing.T) {

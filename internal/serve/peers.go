@@ -97,11 +97,12 @@ func (p *PeerSource) scan() []string {
 	return addrs
 }
 
-// Fetch asks each peer for the entry stored under a raw key (see
-// runner.Cache.KeyFor), first answer wins. The bytes are unverified:
-// the caller hands them to runner.Cache.PutRaw, which checks them
-// against the key.
-func (p *PeerSource) Fetch(key string) ([]byte, bool) {
+// Fetch asks each peer in turn for the entry stored under a raw key
+// (see runner.Cache.KeyFor) and hands every body a peer serves to
+// accept, which checks it against the key (runner.Cache.PutRaw). The
+// first accepted body wins; a rejected one is skipped like a peer
+// that missed, so a peer serving junk hides no peer after it.
+func (p *PeerSource) Fetch(key string, accept func(data []byte) bool) bool {
 	for _, addr := range p.scan() {
 		resp, err := p.client.Get(fmt.Sprintf("http://%s/v1/artifact/%s", addr, key))
 		if err != nil {
@@ -114,10 +115,9 @@ func (p *PeerSource) Fetch(key string) ([]byte, bool) {
 		}
 		data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 		resp.Body.Close()
-		if err != nil || len(data) == 0 {
-			continue
+		if err == nil && len(data) > 0 && accept(data) {
+			return true
 		}
-		return data, true
 	}
-	return nil, false
+	return false
 }

@@ -159,9 +159,6 @@ func New(cfg Config) *Server {
 // completion.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close drains: it stops admitting work and waits for every in-flight
 // request (including ?async=1 executions). Safe to call more than once.
 func (s *Server) Close() {
@@ -400,11 +397,13 @@ func (s *Server) lookupOrRun(j runner.Job) (execOut, error) {
 		}
 		if s.cfg.Peers != nil {
 			key := c.KeyFor(j.Name, j.ConfigHash)
-			if data, ok := s.cfg.Peers.Fetch(key); ok {
-				if art, ok := c.PutRaw(key, data); ok {
-					s.met.peerHits.Add(1)
-					return execOut{art: art, cached: true}, nil
-				}
+			var art runner.Artifact
+			if s.cfg.Peers.Fetch(key, func(data []byte) (ok bool) {
+				art, ok = c.PutRaw(key, data)
+				return ok
+			}) {
+				s.met.peerHits.Add(1)
+				return execOut{art: art, cached: true}, nil
 			}
 		}
 	}

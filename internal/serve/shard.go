@@ -99,9 +99,9 @@ func (st *shardStore) count() int {
 	return len(st.sessions)
 }
 
-// shardOpenRequest opens one session shard: the check configuration
-// plus the session's coordinates.
-type shardOpenRequest struct {
+// ShardOpenRequest is the /v1/shard/open body: the check
+// configuration plus the session's coordinates.
+type ShardOpenRequest struct {
 	CheckRequest
 	Session string `json:"session"`
 	Self    int    `json:"self"`
@@ -112,8 +112,9 @@ type shardOpenRequest struct {
 	Resume bool `json:"resume,omitempty"`
 }
 
-// shardCallRequest addresses a phase call to an open session.
-type shardCallRequest struct {
+// ShardCallRequest is the body of the other /v1/shard/* calls: it
+// addresses a phase call to an open session.
+type ShardCallRequest struct {
 	Session string            `json:"session"`
 	Seq     int64             `json:"seq,omitempty"`
 	Cands   []mcheck.WireCand `json:"cands,omitempty"`
@@ -122,8 +123,8 @@ type shardCallRequest struct {
 
 // shardOpenOptions decodes a /v1/shard/open request body into the
 // request and its checker options; an error is the caller's fault.
-func shardOpenOptions(r *http.Request) (shardOpenRequest, mcheck.Options, error) {
-	var req shardOpenRequest
+func shardOpenOptions(r *http.Request) (ShardOpenRequest, mcheck.Options, error) {
+	var req ShardOpenRequest
 	if err := decodeBodyLimit(r, &req, shardBodyLimit); err != nil {
 		return req, mcheck.Options{}, err
 	}
@@ -174,9 +175,9 @@ func (s *Server) handleShardOpen(w http.ResponseWriter, r *http.Request) {
 // expand/absorb/trace handlers. gated marks the compute-heavy phases
 // that must hold an execution slot.
 func (s *Server) shardPhase(w http.ResponseWriter, r *http.Request, gated bool,
-	call func(sess *mcheck.ShardSession, req *shardCallRequest) (any, error)) {
+	call func(sess *mcheck.ShardSession, req *ShardCallRequest) (any, error)) {
 
-	var req shardCallRequest
+	var req ShardCallRequest
 	if err := decodeBodyLimit(r, &req, shardBodyLimit); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
 		return
@@ -205,25 +206,25 @@ func (s *Server) shardPhase(w http.ResponseWriter, r *http.Request, gated bool,
 }
 
 func (s *Server) handleShardExpand(w http.ResponseWriter, r *http.Request) {
-	s.shardPhase(w, r, true, func(sess *mcheck.ShardSession, req *shardCallRequest) (any, error) {
+	s.shardPhase(w, r, true, func(sess *mcheck.ShardSession, req *ShardCallRequest) (any, error) {
 		return sess.Expand()
 	})
 }
 
 func (s *Server) handleShardAbsorb(w http.ResponseWriter, r *http.Request) {
-	s.shardPhase(w, r, true, func(sess *mcheck.ShardSession, req *shardCallRequest) (any, error) {
+	s.shardPhase(w, r, true, func(sess *mcheck.ShardSession, req *ShardCallRequest) (any, error) {
 		return sess.Absorb(req.Seq, req.Cands)
 	})
 }
 
 func (s *Server) handleShardTrace(w http.ResponseWriter, r *http.Request) {
-	s.shardPhase(w, r, false, func(sess *mcheck.ShardSession, req *shardCallRequest) (any, error) {
+	s.shardPhase(w, r, false, func(sess *mcheck.ShardSession, req *ShardCallRequest) (any, error) {
 		return sess.TraceHop(req.ID)
 	})
 }
 
 func (s *Server) handleShardClose(w http.ResponseWriter, r *http.Request) {
-	var req shardCallRequest
+	var req ShardCallRequest
 	if err := decodeBodyLimit(r, &req, 1<<20); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()}, false)
 		return

@@ -138,11 +138,6 @@ func (p *Proc) ReadClass(a addr.Addr, c interconnect.Class) uint64 {
 	return p.Do(ReadOp(a).WithClass(c)).Value
 }
 
-// ReadExClass is ReadEx tagged with a routing class.
-func (p *Proc) ReadExClass(a addr.Addr, c interconnect.Class) uint64 {
-	return p.Do(ReadExOp(a).WithClass(c)).Value
-}
-
 // WriteClass is Write tagged with a routing class.
 func (p *Proc) WriteClass(a addr.Addr, v uint64, c interconnect.Class) {
 	p.Do(WriteOp(a, v).WithClass(c))
@@ -198,11 +193,6 @@ func (p *Proc) TryWrite(a addr.Addr, v uint64) bool { return p.Do(TryWriteOp(a, 
 // WriteBlock overwrites the whole block containing a with vals
 // (len == block words). Protocols with Feature 9 skip the fetch.
 func (p *Proc) WriteBlock(a addr.Addr, vals []uint64) { p.Do(WriteBlockOp(a, vals)) }
-
-// WriteBlockClass is WriteBlock tagged with a routing class.
-func (p *Proc) WriteBlockClass(a addr.Addr, vals []uint64, c interconnect.Class) {
-	p.Do(WriteBlockOp(a, vals).WithClass(c))
-}
 
 // Compute advances the processor's local clock by n cycles of
 // bus-free work; n <= 0 issues nothing.

@@ -245,15 +245,6 @@ func buildSimConfig(cfg Config) (sim.Config, error) {
 	}, nil
 }
 
-// BuildSystem assembles the one-tier simulator for cfg (normalized).
-func BuildSystem(cfg Config) (*sim.System, error) {
-	sc, err := buildSimConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.New(sc), nil
-}
-
 // BuildMachine assembles the machine cfg asks for: always the
 // synchronization-tier sim.System, plus — with Tiers 2 — the routed
 // two-tier Aquarius system wrapped around it.

@@ -37,9 +37,9 @@
 # exactly when a checkpoint directory is set; the
 # distributed-check differential (a /v1/check sharded across a
 # 3-replica fleet must be byte-identical to a single replica's
-# answer, counterexamples included — and stay so when a replica is
-# killed mid-check and its session fails over via the shared
-# checkpoint root); the pinned disk-backed bitar p4 exhaustive check
+# answer, counterexamples included, unreduced and under partial-order
+# reduction — and stay so when a replica is killed mid-check and its
+# session fails over via the shared checkpoint root); the pinned disk-backed bitar p4 exhaustive check
 # (TestDeepCheckGolden); the table-vs-method differential plus the
 # transition-table freshness gate (committed goldens must match the
 # tables compiled from the protocol code, every refusal keeps its
@@ -77,7 +77,7 @@ go -C bench vet ./...
 go -C bench test ./...
 
 echo "== go test -race (mcheck + sim smoke)"
-go test -race -short -run 'TestSmokeAllProtocols|TestDeterministicAcrossWorkers|TestSymmetryEquivalence|TestDeterministicWorkersMutant|TestPOREquivalence|TestPORMutant|TestShardedEquivalence|TestShardedTruncation|TestShardedRejectsPOR|TestSpillEquivalence|TestPORSpillBudget|TestKillResumeByteIdentical|TestKillResumePOR|TestShardSessionCheckpointResume|TestShardedHonorsCancel' ./internal/mcheck/
+go test -race -short -run 'TestSmokeAllProtocols|TestDeterministicAcrossWorkers|TestSymmetryEquivalence|TestDeterministicWorkersMutant|TestPOREquivalence|TestPORMutant|TestShardedEquivalence|TestShardedTruncation|TestSpillEquivalence|TestPORSpillBudget|TestKillResumeByteIdentical|TestKillResumePOR|TestShardSessionCheckpointResume|TestShardedHonorsCancel' ./internal/mcheck/
 go test -race -short ./internal/sim/ ./internal/trace/ ./internal/syncprim/
 
 echo "== go test -race (ordered executor: runner jobs and sweep cells, bus, scheduler queue)"
