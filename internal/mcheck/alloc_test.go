@@ -81,3 +81,79 @@ func TestExpandSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// storeAllocBytes is the heap a store holds for its live tables: the
+// arena slabs and their lists, each table's block list and slots, and
+// the sealed fingerprint sets — capacities, not lengths.
+func storeAllocBytes(st *spillStore) int64 {
+	var b int64
+	for _, a := range st.arenas {
+		for i := range a.recs {
+			b += int64(cap(a.recs[i]))*8 + int64(cap(a.edges[i]))
+		}
+		b += int64(cap(a.recs)+cap(a.edges))*24 + int64(cap(a.free))*4
+	}
+	for s := range st.shards {
+		t := st.shards[s].live
+		b += int64(cap(t.slots)+cap(t.blocks))*4 + st.shards[s].fp.bytes()
+	}
+	return b
+}
+
+// TestStoreBytesPerState pins what the visited store allocates per
+// state, unused block and slab capacity, block lists and hash slots
+// included, on an exhaustive exploration over one session and a
+// symmetric one over one session and three. An entry is its key, its
+// hash and its 32-byte edge record (136 bytes at bitar p3 b1, 232 at
+// b2), held once in arena slabs that never move; the rest is less
+// than one block per table, one slab per arena, and the slots, whose
+// 256-slot minimum per table dominates the three-session run's 192
+// small tables. Each limit is the measured value plus about 2%. At
+// two workers each session fills two arenas from concurrent absorb
+// workers, which is what the race detector run of this test covers.
+func TestStoreBytesPerState(t *testing.T) {
+	bitar := protocol.MustNew("bitar")
+	for _, tc := range []struct {
+		name     string
+		o        Options
+		sessions int
+		max      float64 // bytes per state; measured 146.9, 258.0, 304.6
+	}{
+		{"bitar-p3-d7", Options{Protocol: bitar, Procs: 3, Blocks: 1, Depth: 7}, 1, 150},
+		{"bitar-p3-b2-d4-sym", Options{Protocol: bitar, Procs: 3, Blocks: 2, Depth: 4, Symmetry: true}, 1, 264},
+		{"bitar-p3-b2-d4-sym", Options{Protocol: bitar, Procs: 3, Blocks: 2, Depth: 4, Symmetry: true}, 3, 312},
+	} {
+		for w := 1; w <= 2; w++ {
+			o := tc.o
+			o.Words, o.Workers = 2, w
+			peers := make([]ShardPeer, tc.sessions)
+			sessions := make([]*ShardSession, tc.sessions)
+			for i := range peers {
+				s, err := NewShardSession(o, i, tc.sessions)
+				if err != nil {
+					t.Fatal(err)
+				}
+				peers[i], sessions[i] = s, s
+			}
+			res, err := RunSharded(o, peers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Counterexample != nil || res.DepthReached != o.Depth {
+				t.Fatalf("%s: explored to depth %d of %d, counterexample %v", tc.name, res.DepthReached, o.Depth, res.Counterexample)
+			}
+			var b int64
+			for _, s := range sessions {
+				b += storeAllocBytes(s.st)
+				s.Close()
+			}
+			per := float64(b) / float64(res.States)
+			t.Logf("%s over %d session(s), %d worker(s): %d states, %d store bytes, %.1f per state",
+				tc.name, tc.sessions, w, res.States, b, per)
+			if per > tc.max {
+				t.Errorf("%s over %d session(s), %d worker(s): the store holds %.1f bytes per state, limit %.0f",
+					tc.name, tc.sessions, w, per, tc.max)
+			}
+		}
+	}
+}

@@ -291,7 +291,6 @@ func writeSnapshot(path string, st *spillStore, seq, transitions int64, frontSta
 		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
 	wr(buf)
-	var ebuf [runEdgeSz]byte
 	for s := range st.shards {
 		sh := &st.shards[s]
 		t := sh.live
@@ -305,9 +304,8 @@ func writeSnapshot(path string, st *spillStore, seq, transitions int64, frontSta
 			for _, w := range t.key(i) {
 				buf = binary.LittleEndian.AppendUint64(buf, w)
 			}
-			buf = binary.LittleEndian.AppendUint64(buf, t.hashes[i])
-			putEdge(ebuf[:], t.edges[i])
-			buf = append(buf, ebuf[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, t.hash(i))
+			buf = append(buf, t.edge(i)...)
 			wr(buf)
 		}
 	}
@@ -401,14 +399,14 @@ func readSnapshot(path string, st *spillStore, total int) (*snapPoint, error) {
 			if h != binary.LittleEndian.Uint64(body[off+st.kw*8:]) || shardOfHash(h) != s {
 				return nil, fail("shard %d entry %d: hash does not match its key", s, i)
 			}
-			e := getEdge(body[off+st.kw*8+8:])
-			if e.psess < 0 || int(e.psess) >= total {
+			rec := body[off+st.kw*8+8 : off+entSz]
+			if e := getEdge(rec); e.psess < 0 || int(e.psess) >= total {
 				return nil, fail("shard %d entry %d: parent session %d", s, i, e.psess)
 			}
 			if sh.live.lookup(key, h) >= 0 {
 				return nil, fail("shard %d entry %d: duplicate key", s, i)
 			}
-			sh.live.insert(key, h, e)
+			sh.live.insert(key, h, rec)
 			off += entSz
 		}
 		for g := fs; g < n; g++ {

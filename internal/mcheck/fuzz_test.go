@@ -53,7 +53,7 @@ func FuzzRunFileDecode(f *testing.F) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			st := newSpillStore(fuzzKW, dir, 0)
+			st := newSpillStore(fuzzKW, dir, 0, 1)
 			_, _ = readSnapshot(path, st, 2)
 		}
 	})
@@ -162,7 +162,7 @@ func TestRegenerateFuzzSeeds(t *testing.T) {
 
 	// A checkpoint snapshot of a small live store whose edges name
 	// both sessions of a two-session run.
-	st := newSpillStore(fuzzKW, dir, 0)
+	st := newSpillStore(fuzzKW, dir, 0, 1)
 	key := make([]uint64, fuzzKW)
 	frontStart := make([]int, shardCount)
 	for i := 0; i < 50; i++ {

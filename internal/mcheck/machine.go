@@ -81,7 +81,8 @@ type machine struct {
 //	words words       shadow (sequentially consistent reference) data
 //
 // Fixed width makes keys comparable word-wise, hashable in one pass,
-// and storable in flat arenas with no per-state allocation.
+// and storable in fixed-size arena records with no per-state
+// allocation.
 type keyLayout struct {
 	procs, blocks, words int
 	ctrlWords            int // per block

@@ -93,9 +93,12 @@ type Options struct {
 	// crosses it at a level boundary seals its non-frontier entries
 	// into a sorted, delta+varint-compressed immutable run on disk
 	// (see spill.go), keeping one 64-bit fingerprint per sealed state
-	// in RAM. Verdicts, counterexamples, and counts are identical to
-	// the in-memory run; only disk usage and speed differ. 0 keeps the
-	// whole visited set in memory.
+	// in RAM. The budget charges a live entry its key and hash words
+	// plus 48 bytes for its parent edge, which the store keeps as a
+	// 32-byte record, and a table its hash slots; arena capacity that
+	// no entry fills yet is not charged. Verdicts, counterexamples, and
+	// counts are identical to the in-memory run; only disk usage and
+	// speed differ. 0 keeps the whole visited set in memory.
 	MemBudget int64
 	// CheckpointDir, when set, enables checkpoint/resume: at the start
 	// and after every completed BFS level the frontier, live visited
@@ -169,9 +172,10 @@ type ProgressInfo struct {
 	// StatesPerSec is the exploration rate of this process (states
 	// explored since start or resume over wall time).
 	StatesPerSec float64
-	// RAMBytes approximates the visited store's in-memory footprint
-	// (live tables + sealed fingerprints); SpilledBytes and SpillRuns
-	// describe the sealed runs on disk (zero without MemBudget).
+	// RAMBytes is the visited store's in-memory footprint as MemBudget
+	// charges it (live tables + sealed fingerprints); SpilledBytes and
+	// SpillRuns describe the sealed runs on disk (zero without
+	// MemBudget).
 	RAMBytes     int64
 	SpilledBytes int64
 	SpillRuns    int

@@ -1,6 +1,7 @@
 package mcheck
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -91,9 +92,11 @@ func getEdge(src []byte) edge {
 }
 
 // runWriter streams one sealed run to disk: keys added in sorted order,
-// then the edge section, then hashes/index/footer on close.
+// then the edge section, then hashes/index/footer on close. Writes go
+// through a buffer, flushed once the footer is in.
 type runWriter struct {
 	f       *os.File
+	bw      *bufio.Writer
 	path    string
 	kw      int
 	base    uint64
@@ -126,7 +129,7 @@ func newRunWriter(dir string, seq int, kw int, base uint64) (*runWriter, error) 
 	if err != nil {
 		return nil, err
 	}
-	w := &runWriter{f: f, path: path, kw: kw, base: base, prev: make([]uint64, kw)}
+	w := &runWriter{f: f, bw: bufio.NewWriter(f), path: path, kw: kw, base: base, prev: make([]uint64, kw)}
 	hdr := make([]byte, runHeaderSz)
 	binary.LittleEndian.PutUint32(hdr[0:], runMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(kw))
@@ -139,7 +142,7 @@ func newRunWriter(dir string, seq int, kw int, base uint64) (*runWriter, error) 
 func (w *runWriter) write(p []byte) error {
 	w.sum = fnv1a(w.sum, p)
 	w.off += uint64(len(p))
-	_, err := w.f.Write(p)
+	_, err := w.bw.Write(p)
 	return err
 }
 
@@ -214,7 +217,10 @@ func (w *runWriter) finish(edges []byte) (retErr error) {
 	// so verification can hash [0, size-8) in one pass.
 	w.sum = fnv1a(w.sum, ftr[:40])
 	binary.LittleEndian.PutUint64(ftr[40:], w.sum)
-	if _, err := w.f.Write(ftr); err != nil {
+	if _, err := w.bw.Write(ftr); err != nil {
+		return err
+	}
+	if err := w.bw.Flush(); err != nil {
 		return err
 	}
 	if w.durable {
@@ -238,6 +244,7 @@ func (w *runWriter) finish(edges []byte) (retErr error) {
 type runReader struct {
 	f         *os.File
 	path      string
+	size      int64 // file bytes
 	kw        int
 	base      uint64 // global index of the first edge entry
 	count     int
@@ -293,7 +300,7 @@ func indexRun(f *os.File, path string, kw int, verify bool) (*runReader, error) 
 		return nil, fail("bad footer magic")
 	}
 	r := &runReader{
-		f: f, path: path, kw: kw,
+		f: f, path: path, size: size, kw: kw,
 		base:      binary.LittleEndian.Uint64(hdr[8:]),
 		edgesOff:  binary.LittleEndian.Uint64(ftr[0:]),
 		hashesOff: binary.LittleEndian.Uint64(ftr[8:]),
@@ -522,15 +529,6 @@ func (r *runReader) readEdgesRaw() ([]byte, error) {
 		return nil, fmt.Errorf("mcheck: run %s: edges: %w", r.path, err)
 	}
 	return buf, nil
-}
-
-// fileSize returns the run's on-disk byte size.
-func (r *runReader) fileSize() int64 {
-	st, err := r.f.Stat()
-	if err != nil {
-		return 0
-	}
-	return st.Size()
 }
 
 // runIter streams a run's sorted keys+hashes for compaction merges.

@@ -139,7 +139,8 @@ type ShardViolation struct {
 // ShardExpandReply is one session's expansion of its frontier slice:
 // candidates grouped by destination session shard, plus the least
 // violating transition, if any. The candidates alias the session's
-// buffers and stay valid until its next Expand.
+// buffers and stay valid until its next Expand; their parent keys, in
+// a session that spills, only until its next Absorb seals them.
 type ShardExpandReply struct {
 	Out         [][]WireCand    `json:"out"`
 	Transitions int64           `json:"transitions"`
@@ -300,7 +301,7 @@ func (s *ShardSession) Open() (*ShardOpenReply, error) {
 		}
 		s.tmp, dir = tmp, tmp
 	}
-	s.st = newSpillStore(s.kw, dir, s.o.MemBudget)
+	s.st = newSpillStore(s.kw, dir, s.o.MemBudget, len(s.workers))
 	// Only a checkpoint's runs outlive the process: a private spill
 	// directory is removed by Close, and nothing reads it after a crash.
 	s.st.durable = s.ck != nil
@@ -716,8 +717,10 @@ func (s *ShardSession) Absorb(seq int64, cands []WireCand) (*ShardAbsorbReply, e
 }
 
 // eachShard runs fn once per visited-table shard, spread over the
-// session's workers (each shard's store and scratch are touched by one
-// goroutine only), and returns the first error.
+// session's workers — worker g takes the shards ts with ts%workers == g,
+// the shards whose entries newSpillStore keeps in arena g, so each
+// shard's store and scratch and each arena are touched by one
+// goroutine only — and returns the first error.
 func (s *ShardSession) eachShard(fn func(w *expandWorker, ts int) error) error {
 	errs := make([]error, len(s.workers))
 	var wg sync.WaitGroup
@@ -841,7 +844,10 @@ func explore(o Options, peers []ShardPeer) (*Result, error) {
 	var viol *ShardViolation
 	expands := make([]*ShardExpandReply, len(peers))
 	errs := make([]error, len(peers))
-	inbox := make([][]WireCand, len(peers))
+	// inbox gathers one destination's candidates from every session; the
+	// destinations absorb one after another, so one buffer serves them
+	// all.
+	var inbox []WireCand
 	for depth := int(seq) + 1; depth <= o.Depth && frontier > 0 && !res.Truncated; depth++ {
 		canceled := func() error {
 			return fmt.Errorf("mcheck: exploration canceled at depth %d after %d states: %w",
@@ -901,11 +907,11 @@ func explore(o Options, peers []ShardPeer) (*Result, error) {
 		for d, p := range peers {
 			in := expands[0].Out[d]
 			if len(peers) > 1 {
-				inbox[d] = inbox[d][:0]
+				inbox = inbox[:0]
 				for _, er := range expands {
-					inbox[d] = append(inbox[d], er.Out[d]...)
+					inbox = append(inbox, er.Out[d]...)
 				}
-				in = inbox[d]
+				in = inbox
 			}
 			reply, err := p.Absorb(int64(depth), in)
 			if err != nil {

@@ -41,8 +41,10 @@ import (
 // compaction.
 const spillCompactAt = 4
 
-// edgeMemSz approximates one in-memory edge (stateID + Action) for
-// budget accounting.
+// edgeMemSz is what MemBudget charges for one live entry's parent
+// edge. It is not the edge's size — the store keeps a 32-byte record
+// (runEdgeSz) — but the charge the budget's seal points were set with,
+// so that spill counts stay what they were measured as.
 const edgeMemSz = 48
 
 func opFromByte(b byte) protocol.Op { return protocol.Op(b) }
@@ -149,6 +151,7 @@ type spillShard struct {
 // pre-spill checker).
 type spillStore struct {
 	kw       int
+	arenas   []*arena // shard s's entries live in arenas[s%len(arenas)]
 	dir      string
 	budget   int64 // per-shard live-byte budget; 0 = never seal
 	shards   [shardCount]spillShard
@@ -163,9 +166,15 @@ type spillStore struct {
 	synced  int
 }
 
-// newSpillStore builds an empty store. dir may be "" when budget is 0.
-func newSpillStore(kw int, dir string, memBudget int64) *spillStore {
+// newSpillStore builds an empty store whose shards spread over the
+// given number of entry arenas as ShardSession.eachShard spreads them
+// over its workers, so concurrent absorb workers never fill the same
+// arena. dir may be "" when budget is 0.
+func newSpillStore(kw int, dir string, memBudget int64, arenas int) *spillStore {
 	st := &spillStore{kw: kw, dir: dir}
+	for range arenas {
+		st.arenas = append(st.arenas, &arena{kw: kw})
+	}
 	if memBudget > 0 {
 		st.budget = memBudget / shardCount
 		if st.budget < 1 {
@@ -173,7 +182,7 @@ func newSpillStore(kw int, dir string, memBudget int64) *spillStore {
 		}
 	}
 	for i := range st.shards {
-		st.shards[i].live = newShardTable(kw)
+		st.shards[i].live = newShardTable(st.arenas[i%arenas])
 	}
 	return st
 }
@@ -210,7 +219,9 @@ func (st *spillStore) key(id stateID) []uint64 {
 // index within shard s.
 func (st *spillStore) insert(s int, key []uint64, h uint64, e edge) int {
 	sh := &st.shards[s]
-	return sh.sealed + sh.live.insert(key, h, e)
+	var rec [runEdgeSz]byte
+	putEdge(rec[:], e)
+	return sh.sealed + sh.live.insert(key, h, rec[:])
 }
 
 // contains reports whether key (hash h) has been visited, consulting
@@ -238,7 +249,7 @@ func (st *spillStore) contains(s int, key []uint64, h uint64, sc *probeScratch) 
 func (st *spillStore) edgeOf(id stateID, sc *probeScratch) (edge, error) {
 	sh := &st.shards[id.shard()]
 	if i := id.index(); i >= sh.sealed {
-		return sh.live.edges[i-sh.sealed], nil
+		return getEdge(sh.live.edge(i - sh.sealed)), nil
 	}
 	idx := uint64(id.index())
 	for _, r := range sh.runs {
@@ -249,11 +260,11 @@ func (st *spillStore) edgeOf(id stateID, sc *probeScratch) (edge, error) {
 	return edge{}, fmt.Errorf("mcheck: spill: no run covers shard %d entry %d", id.shard(), id.index())
 }
 
-// liveBytes approximates shard s's live-table memory.
+// liveBytes is what MemBudget charges for shard s's live table: per
+// entry its key and hash words and edgeMemSz, plus the slots.
 func (st *spillStore) liveBytes(s int) int64 {
 	t := st.shards[s].live
-	return int64(len(t.keys))*8 + int64(len(t.hashes))*8 +
-		int64(len(t.edges))*edgeMemSz + int64(len(t.slots))*4
+	return int64(t.n)*int64(st.kw*8+8+edgeMemSz) + int64(len(t.slots))*4
 }
 
 // sealOver seals every over-budget shard after a level's merge.
@@ -298,13 +309,13 @@ func (st *spillStore) seal(s, upto int) error {
 		return err
 	}
 	for _, i := range order {
-		if err := w.add(t.key(i), t.hashes[i]); err != nil {
+		if err := w.add(t.key(i), t.hash(i)); err != nil {
 			return err
 		}
 	}
 	edges := make([]byte, n*runEdgeSz)
 	for i := 0; i < n; i++ {
-		putEdge(edges[i*runEdgeSz:], t.edges[i])
+		copy(edges[i*runEdgeSz:], t.edge(i))
 	}
 	if err := st.finishRun(w, edges); err != nil {
 		return err
@@ -314,17 +325,22 @@ func (st *spillStore) seal(s, upto int) error {
 		return err
 	}
 	for _, i := range order {
-		sh.fp.add(t.hashes[i])
+		sh.fp.add(t.hash(i))
 	}
 	sh.runs = append(sh.runs, r)
 	st.nextSeq++
 	st.seals++
 	// Rebuild the live table with the surviving frontier entries
-	// [upto, count), preserving their insertion order.
-	nl := newShardTable(st.kw)
+	// [upto, count), preserving their insertion order, and give the old
+	// table's blocks back to the arena. Their only other views are the
+	// parent keys of the candidates this level's Absorb has just
+	// consumed: a spilling session is the only one, so no other session
+	// absorbs them later.
+	nl := newShardTable(t.ar)
 	for i := n; i < t.n; i++ {
-		nl.insert(t.key(i), t.hashes[i], t.edges[i])
+		nl.insert(t.key(i), t.hash(i), t.edge(i))
 	}
+	t.release()
 	sh.live = nl
 	sh.sealed = upto
 	return nil
@@ -455,7 +471,7 @@ func (st *spillStore) spilledBytes() int64 {
 	var b int64
 	for s := range st.shards {
 		for _, r := range st.shards[s].runs {
-			b += r.fileSize()
+			b += r.size
 		}
 	}
 	return b

@@ -4,9 +4,9 @@ import "math/bits"
 
 // This file is the storage layer of the exploration core: packed
 // binary state keys hashed once with a single xxhash-style mix, stored
-// in custom open-addressing tables whose key arenas are flat []uint64
-// slabs. A duplicate hit costs one hash, one probe chain, and zero
-// allocations — the previous map[string]visitedEntry design paid a
+// in custom open-addressing tables whose entries sit in arena slabs
+// that never move. A duplicate hit costs one hash, one probe chain, and
+// zero allocations — the previous map[string]visitedEntry design paid a
 // string conversion plus two FNV passes per explored transition.
 
 // shardCount fixes the number of hash shards of the visited set; the
@@ -26,10 +26,11 @@ func packID(shard, idx int) stateID { return stateID(shard)<<32 | stateID(uint32
 func (id stateID) shard() int { return int(id >> 32) }
 func (id stateID) index() int { return int(uint32(id)) }
 
-// edge is the parent pointer of a visited state, for counterexample
-// trace reconstruction: the parent's session shard and state ID there,
-// and the action that discovered the state. The root's parent is
-// noParent.
+// edge is the decoded view of a visited state's parent pointer, for
+// counterexample trace reconstruction: the parent's session shard and
+// state ID there, and the action that discovered the state. The root's
+// parent is noParent. The store keeps it as a 32-byte putEdge record
+// (runfile.go) — in RAM, in runs and in checkpoint snapshots alike.
 type edge struct {
 	parent stateID
 	psess  int32
@@ -91,21 +92,21 @@ func compareKey(a, b []uint64) int {
 }
 
 // shardTable is one shard of the visited set: an open-addressing hash
-// table over fixed-width []uint64 keys held in a flat arena, with the
-// parent edge of every entry stored alongside. Lookups never allocate;
-// inserts amortize into three slab appends.
+// table over fixed-width []uint64 keys. Each entry — its key, the
+// key's hash and its 32-byte parent edge record — lives in the table's
+// arena, in blocks of tableBlock entries the table takes one at a time,
+// so entries never move once inserted and a table leaves at most
+// tableBlock-1 of its entries unused. Lookups never allocate.
 type shardTable struct {
-	kw     int      // words per key
+	ar     *arena
 	mask   uint64   // len(slots) - 1
 	slots  []uint32 // entry index + 1; 0 = empty
-	keys   []uint64 // entry i's key at [i*kw : (i+1)*kw]
-	hashes []uint64
-	edges  []edge
+	blocks []uint32 // arena block of entries [j*tableBlock, (j+1)*tableBlock)
 	n      int
 }
 
-func newShardTable(kw int) *shardTable {
-	t := &shardTable{kw: kw}
+func newShardTable(ar *arena) *shardTable {
+	t := &shardTable{ar: ar}
 	t.rehash(256)
 	return t
 }
@@ -114,7 +115,7 @@ func (t *shardTable) rehash(slots int) {
 	t.slots = make([]uint32, slots)
 	t.mask = uint64(slots - 1)
 	for i := 0; i < t.n; i++ {
-		pos := t.hashes[i] & t.mask
+		pos := t.hash(i) & t.mask
 		for t.slots[pos] != 0 {
 			pos = (pos + 1) & t.mask
 		}
@@ -122,8 +123,16 @@ func (t *shardTable) rehash(slots int) {
 	}
 }
 
+// at returns entry i's position in the arena.
+func (t *shardTable) at(i int) int { return int(t.blocks[i/tableBlock])*tableBlock + i%tableBlock }
+
 // key returns entry i's key view into the arena.
-func (t *shardTable) key(i int) []uint64 { return t.keys[i*t.kw : (i+1)*t.kw] }
+func (t *shardTable) key(i int) []uint64 { return t.ar.key(t.at(i)) }
+
+func (t *shardTable) hash(i int) uint64 { return t.ar.hash(t.at(i)) }
+
+// edge returns entry i's parent edge record (putEdge layout).
+func (t *shardTable) edge(i int) []byte { return t.ar.edge(t.at(i)) }
 
 // lookup returns the entry index of key (whose hash is h), or -1.
 func (t *shardTable) lookup(key []uint64, h uint64) int {
@@ -133,30 +142,100 @@ func (t *shardTable) lookup(key []uint64, h uint64) int {
 		if s == 0 {
 			return -1
 		}
-		if i := int(s - 1); t.hashes[i] == h && equalKey(t.key(i), key) {
-			return i
+		if p := t.at(int(s - 1)); t.ar.hash(p) == h && equalKey(t.ar.key(p), key) {
+			return int(s - 1)
 		}
 		pos = (pos + 1) & t.mask
 	}
 }
 
-// insert adds a key that must not already be present and returns its
-// entry index.
-func (t *shardTable) insert(key []uint64, h uint64, e edge) int {
+// insert adds a key that must not already be present, with its parent
+// edge record, and returns its entry index.
+func (t *shardTable) insert(key []uint64, h uint64, erec []byte) int {
 	if 4*(t.n+1) > 3*len(t.slots) {
 		t.rehash(2 * len(t.slots))
 	}
 	i := t.n
+	if i%tableBlock == 0 {
+		t.blocks = append(t.blocks, t.ar.block())
+	}
 	t.n++
-	t.keys = append(t.keys, key...)
-	t.hashes = append(t.hashes, h)
-	t.edges = append(t.edges, e)
+	p := t.at(i)
+	r := t.ar.rec(p)
+	copy(r, key)
+	r[t.ar.kw] = h
+	copy(t.ar.edge(p), erec)
 	pos := h & t.mask
 	for t.slots[pos] != 0 {
 		pos = (pos + 1) & t.mask
 	}
 	t.slots[pos] = uint32(i + 1)
 	return i
+}
+
+// release hands the table's blocks back to its arena; the table must
+// not be used afterwards.
+func (t *shardTable) release() {
+	t.ar.free = append(t.ar.free, t.blocks...)
+	t.blocks = nil
+}
+
+// tableBlock is the number of entries in one block of a shard table's
+// storage, a power of two. It is small because every table may leave
+// most of a block unused, and a session has 64 tables, few of them
+// large when several sessions share a state space.
+const tableBlock = 8
+
+// arenaSlab is the number of entries in one arena slab, a multiple of
+// tableBlock: large enough that slab allocations stay rare next to the
+// transitions explored (TestExpandSteadyStateAllocs), small enough
+// that an arena's unused tail, under one slab, stays a few tens of KiB.
+const arenaSlab = 256
+
+// arena holds the entries of the shard tables one absorb worker fills:
+// keys with their hashes, and parent edge records, in slabs that are
+// allocated once and never copied. It hands them to the tables in
+// blocks of tableBlock entries, so a slab's two allocations serve many
+// small tables, and a table's unused tail is less than one block. A
+// sealed table gives its blocks back, and later tables reuse them.
+// One goroutine at a time fills an arena (newSpillStore).
+type arena struct {
+	kw     int
+	recs   [][]uint64 // per slab: arenaSlab records of kw key words and the key's hash
+	edges  [][]byte   // per slab: arenaSlab parent edge records of runEdgeSz bytes
+	blocks int        // blocks carved from the slabs so far
+	free   []uint32   // blocks given back by sealed tables
+}
+
+func (a *arena) rec(p int) []uint64 {
+	o := p % arenaSlab * (a.kw + 1)
+	return a.recs[p/arenaSlab][o : o+a.kw+1 : o+a.kw+1]
+}
+
+func (a *arena) key(p int) []uint64 { return a.rec(p)[:a.kw:a.kw] }
+
+func (a *arena) hash(p int) uint64 { return a.rec(p)[a.kw] }
+
+func (a *arena) edge(p int) []byte {
+	o := p % arenaSlab * runEdgeSz
+	return a.edges[p/arenaSlab][o : o+runEdgeSz : o+runEdgeSz]
+}
+
+// block returns a block for a table: a given-back one if there is one,
+// else the next block of the current slab, allocating a slab when the
+// last one is used up.
+func (a *arena) block() uint32 {
+	if n := len(a.free); n > 0 {
+		b := a.free[n-1]
+		a.free = a.free[:n-1]
+		return b
+	}
+	if a.blocks*tableBlock == len(a.recs)*arenaSlab {
+		a.recs = append(a.recs, make([]uint64, arenaSlab*(a.kw+1)))
+		a.edges = append(a.edges, make([]byte, arenaSlab*runEdgeSz))
+	}
+	a.blocks++
+	return uint32(a.blocks - 1)
 }
 
 // keySet is the per-worker intra-level duplicate filter: the same

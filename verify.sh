@@ -48,7 +48,9 @@
 # workload digest golden and the blocking-adapter differential; the
 # steady-state allocation gates of the engine (0 allocs/op), of the
 # checker (0 allocs per explored transition) and of a daemon cache hit
-# (TestHitAllocs); and the baseline-counts
+# (TestHitAllocs); the visited store's bytes per state
+# (TestStoreBytesPerState, rerun under -race below because absorb
+# workers fill the store's arenas concurrently); and the baseline-counts
 # golden (every cycle, broadcast, state, transition and spill count in
 # BENCH_sim.json, BENCH_aquarius.json and BENCH_mcheck.json, exact on
 # any host).
@@ -77,7 +79,7 @@ go -C bench vet ./...
 go -C bench test ./...
 
 echo "== go test -race (mcheck + sim smoke)"
-go test -race -short -run 'TestSmokeAllProtocols|TestDeterministicAcrossWorkers|TestSymmetryEquivalence|TestDeterministicWorkersMutant|TestPOREquivalence|TestPORMutant|TestShardedEquivalence|TestShardedTruncation|TestSpillEquivalence|TestPORSpillBudget|TestKillResumeByteIdentical|TestKillResumePOR|TestShardSessionCheckpointResume|TestShardedHonorsCancel' ./internal/mcheck/
+go test -race -short -run 'TestSmokeAllProtocols|TestDeterministicAcrossWorkers|TestSymmetryEquivalence|TestDeterministicWorkersMutant|TestPOREquivalence|TestPORMutant|TestShardedEquivalence|TestShardedTruncation|TestSpillEquivalence|TestPORSpillBudget|TestKillResumeByteIdentical|TestKillResumePOR|TestShardSessionCheckpointResume|TestShardedHonorsCancel|TestStoreBytesPerState' ./internal/mcheck/
 go test -race -short ./internal/sim/ ./internal/trace/ ./internal/syncprim/
 
 echo "== go test -race (ordered executor: runner jobs and sweep cells, bus, scheduler queue)"
